@@ -8,7 +8,7 @@
 
 .PHONY: all build lint test check clean campaign-smoke campaign-baseline \
   faults-smoke telemetry-smoke chaos-smoke model-smoke topo-smoke \
-  topo-faults-smoke obs-smoke admit-smoke
+  topo-faults-smoke obs-smoke admit-smoke bench-smoke
 
 all: build
 
@@ -135,6 +135,20 @@ admit-smoke: build
 	  _build/BENCH_admit_churn.current.json --baseline BENCH_admit_churn.json
 	dune exec bench/admit_guard.exe
 
+# Benchmark gate: each perfbench workload runs for 2 s at the default
+# seed (so its output digest is checked) with the per-layer trace on,
+# and must print a result line reporting "correct": true.
+bench-smoke:
+	@for w in sim_dense sim_wide sim_faulted admit_churn; do \
+	  out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 \
+	    --trace 1) || { echo "bench-smoke: $$w exited non-zero"; exit 1; }; \
+	  line=$$(printf '%s\n' "$$out" | tail -n 1); \
+	  case "$$line" in \
+	    *'"correct": true'* | *'"correct":true'*) echo "bench-smoke: $$w ok" ;; \
+	    *) echo "bench-smoke: $$w incorrect: $$line"; exit 1 ;; \
+	  esac; \
+	done
+
 # Refresh the committed campaign baselines after an intentional
 # behaviour change (review the diff before committing!).
 campaign-baseline: build
@@ -156,7 +170,7 @@ check:
 	  && $(MAKE) faults-smoke && $(MAKE) telemetry-smoke \
 	  && $(MAKE) chaos-smoke && $(MAKE) model-smoke && $(MAKE) topo-smoke \
 	  && $(MAKE) topo-faults-smoke && $(MAKE) obs-smoke \
-	  && $(MAKE) admit-smoke
+	  && $(MAKE) admit-smoke && $(MAKE) bench-smoke
 
 clean:
 	dune clean

@@ -33,8 +33,9 @@ exception Protocol_violation of string
 
 (** The pure per-replica transition function: the whole DDCR step as a
     [state -> feedback -> state] map over immutable records.  The
-    mutable {!Automaton} below is a thin wrapper over this module; the
-    explicit-state model checker ([Rtnet_model]) explores these values
+    simulator steps one such state per replica group ({!run_trace});
+    the mutable {!Automaton} below is a thin wrapper over this module;
+    the explicit-state model checker ([Rtnet_model]) explores these values
     directly — they are hashable, comparable and structurally shared,
     so a frontier of reached states needs no defensive copies. *)
 module Step : sig
@@ -189,8 +190,19 @@ val run_trace :
     given arrival trace on [inst]'s medium until [horizon] (bit-times)
     and reports the outcome (completions carry exact start/finish
     times; the channel's safety log is embedded in the statistics).
-    With [check_lockstep] (default [false]) every slot asserts that all
-    sources' replicas agree — O(z) extra work per slot.  [on_event]
+    Replicas are stepped {e grouped}: all replicas holding the same
+    shared state form one group whose state is stepped once per slot,
+    and each source keeps only its group id and private static rank —
+    so a slot costs O(distinct replica states + backlogged sources),
+    not O(z) (see DESIGN.md, "Grouped replica stepping").
+
+    With [check_lockstep] (default [false]) the run also steps a
+    per-source {!Step.state} array the ungrouped way — each replica on
+    its own observation, with the per-replica divergence verdict and
+    recovery — and asserts every slot that the grouped decisions equal
+    the per-replica ones and that every live synced source's state is
+    structurally its group's state with its own rank ([last_out]
+    included).  O(z) extra work per slot.  [on_event]
     receives one {!Ddcr_trace.event} per slot plus phase transitions
     (see {!Ddcr_trace.collector}).  [fault] injects channel noise
     (garbled frames); the protocol retries garbled frames and remains
@@ -206,18 +218,25 @@ val run_trace :
     - every live synced replica is fed its own local observation
       ([Harness.observed]), so per-source misperception can make
       replicas diverge;
+    - members of a replica group that observe the slot differently
+      (misperception) split off into a group of their own, which steps
+      on their observation; crashed members leave their group;
     - divergence is detected the slot it occurs by comparing replica
-      digests ({!Automaton.fingerprint}); sources disagreeing with the
-      plurality (ties broken towards the lowest id) are desynchronized
-      and go listen-only;
+      digests ({!Step.fingerprint}, one per group): sources whose
+      group disagrees with the plurality by member count (ties broken
+      towards the lowest id) are desynchronized and go listen-only;
+      groups left with equal states merge back;
     - a desynchronized source recovers at the first tree-epoch boundary
       (the plurality replica in phase free/attempt): it copies the
       reference replica state and re-enters contention — within one
       tree epoch of the fault clearing.  If {e no} synced source
       remains, the lowest-id live source cold-restarts the protocol and
       the others resync to it;
+    - a resynced or restarted source joins the reference's group;
     - with [check_lockstep], lockstep is asserted among the live synced
-      replicas only (the property fault plans preserve).
+      replicas only (the property fault plans preserve), and the
+      per-replica oracle's desync verdicts must equal the grouped
+      ones.
 
     [fault] and [plan] are mutually exclusive; the outcome's [faults]
     statistics are [Some] iff [plan] was given.
@@ -233,6 +252,19 @@ val run_trace :
     and to inject bridged arrivals from upstream segments.
     @raise Invalid_argument if [params] fail validation for [inst].
     @raise Protocol_violation on inconsistent channel feedback. *)
+
+type work = {
+  observes : int;  (** [Step.observe] calls on replica groups *)
+  fingerprints : int;  (** [Step.fingerprint] calls on replica groups *)
+}
+(** Replica work done by {!run_trace}. *)
+
+val work : unit -> work
+(** [work ()] is the replica work {!run_trace} has done on the calling
+    domain so far (cumulative; take differences around a run).  Without a
+    plan a run makes exactly one [observes] per slot and no
+    [fingerprints]; under a plan, one of each per replica group per
+    slot.  The [check_lockstep] oracle's own calls are not counted. *)
 
 val run :
   ?check_lockstep:bool ->

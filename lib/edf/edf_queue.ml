@@ -1,30 +1,41 @@
 module Message = Rtnet_workload.Message
 
-(* Leftist heap keyed by Message.compare_edf. *)
-type t = Leaf | Node of { rank : int; msg : Message.t; left : t; right : t }
+(* Leftist heap keyed by Message.compare_edf.  Each node keeps its
+   message pre-wrapped ([head = Some msg]), so [peek] — asked for every
+   backlogged source at every contention slot — allocates nothing. *)
+type t =
+  | Leaf
+  | Node of {
+      rank : int;
+      msg : Message.t;
+      head : Message.t option;
+      left : t;
+      right : t;
+    }
 
 let empty = Leaf
 
-let is_empty q = q = Leaf
+let is_empty = function Leaf -> true | Node _ -> false
 
 let rank = function Leaf -> 0 | Node { rank; _ } -> rank
 
-let make msg a b =
+let make msg head a b =
   let ra = rank a and rb = rank b in
-  if ra >= rb then Node { rank = rb + 1; msg; left = a; right = b }
-  else Node { rank = ra + 1; msg; left = b; right = a }
+  if ra >= rb then Node { rank = rb + 1; msg; head; left = a; right = b }
+  else Node { rank = ra + 1; msg; head; left = b; right = a }
 
 let rec merge a b =
   match (a, b) with
   | Leaf, q | q, Leaf -> q
   | Node na, Node nb ->
     if Message.compare_edf na.msg nb.msg <= 0 then
-      make na.msg na.left (merge na.right b)
-    else make nb.msg nb.left (merge a nb.right)
+      make na.msg na.head na.left (merge na.right b)
+    else make nb.msg nb.head nb.left (merge a nb.right)
 
-let insert q m = merge q (Node { rank = 1; msg = m; left = Leaf; right = Leaf })
+let insert q m =
+  merge q (Node { rank = 1; msg = m; head = Some m; left = Leaf; right = Leaf })
 
-let peek = function Leaf -> None | Node { msg; _ } -> Some msg
+let peek = function Leaf -> None | Node { head; _ } -> head
 
 let pop = function
   | Leaf -> None

@@ -13,6 +13,7 @@ type services = {
   complete : Message.t -> start:int -> finish:int -> unit;
   drop : Message.t -> unit;
   deliver_until : int -> unit;
+  iter_backlog : (int -> unit) -> unit;
   alive : int -> bool;
   observed : int -> Channel.resolution;
   mark_desync : int -> unit;
@@ -112,6 +113,32 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
   let telemetry = sink.Sink.enabled in
   let channel = Channel.create ?fault ?plan phy in
   let queues = Array.make num_sources Edf_queue.empty in
+  (* The sources with a non-empty queue, ascending, in
+     [backlog.(0 .. !backlogged - 1)].  A queue turning non-empty or
+     empty shifts the tail in place: no allocation, and at most one
+     insertion and one removal per message. *)
+  let backlog = Array.make num_sources 0 in
+  let backlogged = ref 0 in
+  let backlog_index s =
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if backlog.(mid) < s then go (mid + 1) hi else go lo mid
+    in
+    go 0 !backlogged
+  in
+  let backlog_add s =
+    let i = backlog_index s in
+    Array.blit backlog i backlog (i + 1) (!backlogged - i);
+    backlog.(i) <- s;
+    incr backlogged
+  in
+  let backlog_remove s =
+    let i = backlog_index s in
+    Array.blit backlog (i + 1) backlog i (!backlogged - i - 1);
+    decr backlogged
+  in
   let completions = ref [] in
   let dropped = ref [] in
   let arrivals = ref (List.sort arrival_order trace) in
@@ -125,6 +152,7 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
                "harness: arrival for unknown source %d (instance has %d \
                 sources)"
                s num_sources);
+        if Edf_queue.is_empty queues.(s) then backlog_add s;
         queues.(s) <- Edf_queue.insert queues.(s) m;
         if telemetry then sink.Sink.enqueue ~now ~msg:m;
         go rest
@@ -134,7 +162,11 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
   in
   (* Per-source fault bookkeeping (only populated under a plan). *)
   let alive_now = Array.make num_sources true in
+  let wire = ref Channel.Idle in
   let observed_now = Array.make num_sources Channel.Idle in
+  (* [attempted_at.(s) = now]: [s] contended in the slot starting at
+     [now] (slot starts strictly increase, so no reset is needed). *)
+  let attempted_at = Array.make num_sources (-1) in
   let crashed_slots = Array.make num_sources 0 in
   let missed = Array.make num_sources 0 in
   let misperceived = Array.make num_sources 0 in
@@ -163,6 +195,7 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
           match Edf_queue.pop queues.(src) with
           | Some (m, q) ->
             queues.(src) <- q;
+            if Edf_queue.is_empty q then backlog_remove src;
             Some m
           | None -> None);
       complete =
@@ -179,8 +212,16 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
           if telemetry then sink.Sink.drop ~msg:m;
           dropped := m :: !dropped);
       deliver_until = (fun time -> deliver time);
+      iter_backlog =
+        (fun f ->
+          for i = 0 to !backlogged - 1 do
+            f backlog.(i)
+          done);
       alive = (fun src -> alive_now.(src));
-      observed = (fun src -> observed_now.(src));
+      observed =
+        (match plan with
+        | None -> fun _ -> !wire
+        | Some _ -> fun src -> observed_now.(src));
       mark_desync =
         (fun src ->
           desync_slots.(src) <- desync_slots.(src) + 1;
@@ -258,14 +299,11 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
     in
     let resolution, next_free = Channel.contend channel ~now attempts in
     if telemetry then sink.Sink.slot ~now ~next_free ~resolution;
+    wire := resolution;
     (match plan with
-    | None ->
-      (* No plan: every source observes the wire. *)
-      Array.fill observed_now 0 num_sources resolution
+    | None -> () (* every source observes the wire *)
     | Some p ->
-      let participants =
-        List.map (fun a -> a.Channel.att_source) attempts
-      in
+      List.iter (fun a -> attempted_at.(a.Channel.att_source) <- now) attempts;
       (match resolution with
       | Channel.Garbled _ ->
         (* Wire-level noise destroyed a frame: the slot is degraded
@@ -280,7 +318,7 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
           | _ -> missed.(s) <- missed.(s) + 1
         end
         else begin
-          let listener = not (List.mem s participants) in
+          let listener = attempted_at.(s) <> now in
           let flips = Fault_plan.misperceives p ~source:s ~now in
           let obs =
             if listener && flips then misperceived_view resolution
@@ -319,8 +357,10 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
       failwith ("harness analyze: " ^ String.concat "; " problems)
   end;
   let unfinished =
-    Array.fold_left (fun acc q -> acc @ Edf_queue.to_sorted_list q) [] queues
-    @ List.filter (fun m -> m.Message.arrival < horizon) !arrivals
+    Array.fold_right
+      (fun q acc -> Edf_queue.to_sorted_list q @ acc)
+      queues
+      (List.filter (fun m -> m.Message.arrival < horizon) !arrivals)
   in
   let faults =
     match plan with

@@ -46,6 +46,12 @@ type services = {
           protocol extending an acquisition (packet bursting) must call
           it before choosing each continuation frame so the EDF ranking
           sees messages that arrived mid-acquisition *)
+  iter_backlog : (int -> unit) -> unit;
+      (** [iter_backlog f] calls [f] on every source whose EDF queue is
+          non-empty, in ascending source order — the only sources with
+          a [msg*] to contend with, so a protocol's [decide] can cost
+          O(backlog) instead of O(num_sources).  Allocation-free; [f]
+          may [peek] but must not [pop]. *)
   alive : int -> bool;
       (** [alive src] — false while [src] is inside a fault-plan crash
           window (always true without a plan).  Valid during [decide]
@@ -55,7 +61,9 @@ type services = {
           slot — equal to the wire resolution unless the fault plan
           made [src] misperceive it.  Only meaningful inside [after];
           a protocol with replicated state must feed each replica its
-          own observation, not the wire's. *)
+          own observation, not the wire's.  Without a plan it is the
+          wire resolution for every [src] (no per-source copy is
+          made). *)
   mark_desync : int -> unit;
       (** protocol callback: count one slot during which [src]'s
           replica was desynchronized (listen-only); feeds

@@ -383,6 +383,132 @@ let test_edf_service_order_within_source () =
       Alcotest.(check bool) "per-source EDF order" true (ok cs))
     by_source
 
+let resolved_slots (o : Run.outcome) =
+  match o.Run.channel with
+  | Some c ->
+    c.Channel.idle_slots + c.Channel.collision_slots + c.Channel.tx_count
+    + c.Channel.garbled_count
+  | None -> 0
+
+(* Replica work is counted, not timed: without a plan one group state is
+   stepped per slot, whatever z; under a plan every stepped group is
+   digested exactly once, and misperception splits groups only
+   transiently. *)
+let test_replica_work_per_slot () =
+  let inst =
+    Scenarios.uniform ~sources:48 ~classes_per_source:1 ~load:0.5
+      ~deadline_windows:2.0
+  in
+  let params = Ddcr_params.default inst in
+  let horizon = 5 * ms in
+  let trace = Instance.trace inst ~seed:3 ~horizon in
+  let counted ?plan () =
+    let slots = ref 0 in
+    let sink =
+      Rtnet_telemetry.Sink.create
+        ~slot:(fun ~now:_ ~next_free:_ ~resolution:_ -> incr slots)
+        ()
+    in
+    let before = Ddcr.work () in
+    let o = Ddcr.run_trace ?plan ~sink params inst trace ~horizon in
+    let after = Ddcr.work () in
+    ( o,
+      !slots,
+      after.Ddcr.observes - before.Ddcr.observes,
+      after.Ddcr.fingerprints - before.Ddcr.fingerprints )
+  in
+  let o, slots, observes, fingerprints = counted () in
+  Alcotest.(check int) "every slot resolved on the wire" (resolved_slots o)
+    slots;
+  Alcotest.(check int) "one observe per slot without a plan" slots observes;
+  Alcotest.(check int) "no digests without a plan" 0 fingerprints;
+  let plan =
+    Rtnet_channel.Fault_plan.create ~horizon ~seed:5
+      (Rtnet_channel.Fault_plan.compose
+         (Rtnet_channel.Fault_plan.misperceive 0.01)
+         (Rtnet_channel.Fault_plan.crash ~source:7 ~from_:ms ~until:(2 * ms)))
+  in
+  let o, slots, observes, fingerprints = counted ~plan () in
+  Alcotest.(check bool) "misperception happened" true
+    (match o.Run.faults with
+    | Some f ->
+      List.exists (fun sf -> sf.Run.sf_misperceived > 0) f.Run.f_per_source
+    | None -> false);
+  Alcotest.(check int) "one digest per stepped group" observes fingerprints;
+  Alcotest.(check bool)
+    (Printf.sprintf "groups split (%d group steps over %d slots)" observes
+       slots)
+    true (observes > slots);
+  Alcotest.(check bool) "splits are transient" true (observes < 2 * slots)
+
+(* A one-against-one divergence is a plurality tie, broken toward the
+   lowest station id: when station 1 alone misreads a frame station 0
+   sent outside free CSMA, station 1 is the one desynchronized. *)
+let test_divergence_tie_goes_to_lowest_id () =
+  let inst =
+    Scenarios.uniform ~sources:2 ~classes_per_source:1 ~load:0.9
+      ~deadline_windows:2.0
+  in
+  let params = Ddcr_params.default inst in
+  let horizon = 5 * ms in
+  let trace = Instance.trace inst ~seed:1 ~horizon in
+  let events ?plan () =
+    let record, finish = Rtnet_core.Ddcr_trace.collector () in
+    ignore (Ddcr.run_trace ~check_lockstep:true ?plan ~on_event:record params
+              inst trace ~horizon);
+    finish ()
+  in
+  let misread =
+    List.find_map
+      (function
+        | Rtnet_core.Ddcr_trace.Frame_sent
+            { time; source = 0; via = Time_tree | Static_tree | Open_attempt; _ }
+          ->
+          Some time
+        | _ -> None)
+      (events ())
+  in
+  match misread with
+  | None -> Alcotest.fail "no tree-search frame from station 0"
+  | Some t ->
+    let plan =
+      Rtnet_channel.Fault_plan.create ~horizon ~seed:1
+        (Rtnet_channel.Fault_plan.misperceive_at [ (1, t) ])
+    in
+    let desyncs =
+      List.filter_map
+        (function
+          | Rtnet_core.Ddcr_trace.Desync { source; _ } -> Some source
+          | _ -> None)
+        (events ~plan ())
+    in
+    Alcotest.(check (list int)) "station 1 desynchronized" [ 1 ] desyncs
+
+(* The ROADMAP target for grouped stepping: the marginal allocation per
+   resolved slot must not grow with z.  Taking the difference between
+   two horizons cancels the O(z) set-up. *)
+let test_allocation_flat_in_z () =
+  let marginal z =
+    let inst =
+      Scenarios.uniform ~sources:z ~classes_per_source:1 ~load:0.3
+        ~deadline_windows:2.0
+    in
+    let params = Ddcr_params.default inst in
+    let measure horizon =
+      let trace = Instance.trace inst ~seed:1 ~horizon in
+      let w0 = Gc.minor_words () in
+      let o = Ddcr.run_trace params inst trace ~horizon in
+      (Gc.minor_words () -. w0, resolved_slots o)
+    in
+    let w1, s1 = measure (10 * ms) and w2, s2 = measure (30 * ms) in
+    (w2 -. w1) /. float_of_int (s2 - s1)
+  in
+  let narrow = marginal 16 and wide = marginal 1024 in
+  Alcotest.(check bool)
+    (Printf.sprintf "z=1024 %.0f words/slot <= 2 x z=16 %.0f" wide narrow)
+    true
+    (wide <= 2. *. narrow)
+
 let suite =
   [
     ( "ddcr",
@@ -413,5 +539,11 @@ let suite =
           test_allocation_matters_on_skewed_load;
         Alcotest.test_case "per-source EDF order" `Quick
           test_edf_service_order_within_source;
+        Alcotest.test_case "replica work per slot" `Quick
+          test_replica_work_per_slot;
+        Alcotest.test_case "allocation flat in z" `Quick
+          test_allocation_flat_in_z;
+        Alcotest.test_case "divergence tie goes to lowest id" `Quick
+          test_divergence_tie_goes_to_lowest_id;
       ] );
   ]

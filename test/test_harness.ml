@@ -309,6 +309,81 @@ let test_inject_unknown_source_rejected () =
       (Astring_contains.contains e "unknown source 5")
   | _ -> Alcotest.fail "expected a structured failure"
 
+let test_backlog_tracks_nonempty_queues () =
+  (* A recording stub: the lowest backlogged source transmits, and
+     bursts one more frame after each carried one.  At every [decide]
+     and after every burst, the exposed backlog must be exactly the
+     sources with a non-empty queue, ascending. *)
+  let sources = 4 in
+  let checks = ref 0 and widest = ref 0 in
+  let check services what =
+    let expected =
+      List.filter
+        (fun s -> services.Harness.peek s <> None)
+        (List.init sources Fun.id)
+    in
+    let got = ref [] in
+    services.Harness.iter_backlog (fun s -> got := s :: !got);
+    let got = List.rev !got in
+    Alcotest.(check (list int)) what expected got;
+    incr checks;
+    widest := max !widest (List.length got)
+  in
+  let decide services ~now =
+    check services (Printf.sprintf "backlog at decide, t=%d" now);
+    let first = ref None in
+    services.Harness.iter_backlog (fun s ->
+        if !first = None then first := Some s);
+    match !first with
+    | Some src ->
+      Option.to_list
+        (Option.map
+           (fun m ->
+             {
+               Channel.att_source = src;
+               att_tag = m.Message.uid;
+               att_bits = m.Message.cls.Message.cls_bits;
+               att_key = (0, src);
+             })
+           (services.Harness.peek src))
+    | None -> []
+  in
+  let after services ~now ~resolution ~next_free =
+    let next_free =
+      match resolution with
+      | Channel.Tx { src; _ } -> (
+        match services.Harness.pop src with
+        | Some m ->
+          let on_wire, free =
+            Channel.burst services.Harness.channel ~src ~tag:m.Message.uid
+              ~bits:m.Message.cls.Message.cls_bits
+          in
+          services.Harness.complete m ~start:(free - on_wire) ~finish:free;
+          free
+        | None -> next_free)
+      | Channel.Idle | Channel.Garbled _ | Channel.Clash _ -> next_free
+    in
+    check services (Printf.sprintf "backlog after the burst, t=%d" now);
+    next_free
+  in
+  let trace =
+    [ msg 0 3 0; msg 1 1 0; msg 2 1 0; msg 3 2 0; msg 4 0 4_000;
+      msg 5 3 4_000; msg 6 3 9_000 ]
+  in
+  let inject ~now =
+    if now = 0 then [ msg 10 2 2_000; msg 11 0 2_000 ]
+    else if now >= 6_000 && now < 7_200 then [ msg (20 + now) 1 now ]
+    else []
+  in
+  let o =
+    Harness.run ~protocol:"backlog-stub" ~inject ~phy ~num_sources:sources
+      ~horizon:60_000 ~decide ~after trace
+  in
+  Alcotest.(check bool) "checked every slot" true (!checks > 20);
+  Alcotest.(check bool) "several sources backlogged at once" true
+    (!widest >= 3);
+  Alcotest.(check int) "everything served" 0 (List.length o.Run.unfinished)
+
 let suite =
   [
     ( "mac_harness",
@@ -334,5 +409,7 @@ let suite =
           test_inject_while_all_crashed_accounted;
         Alcotest.test_case "inject unknown source" `Quick
           test_inject_unknown_source_rejected;
+        Alcotest.test_case "backlog tracks non-empty queues" `Quick
+          test_backlog_tracks_nonempty_queues;
       ] );
   ]

@@ -3,7 +3,8 @@
    The load-bearing properties: the pure Ddcr.Step transition agrees
    step-for-step with the mutable Automaton wrapper on randomized
    fault-free and faulty feedback sequences (the differential
-   property); exploration is deterministic and proves a small clean
+   property); the simulator's grouped replica stepping agrees with the
+   per-replica oracle on random instances and fault plans; exploration is deterministic and proves a small clean
    instance clean; the committed broken-parameters fixture yields a
    deadline-miss counterexample whose exported artifact replays
    through the real simulator to the same Oracle verdict and
@@ -203,6 +204,88 @@ let prop_differential =
       run_differential ~seed ~faulty ~arbitrated ~slots:40;
       true)
 
+(* ------------- differential: grouped run_trace vs per-replica oracle ------------- *)
+
+module Scenarios = Rtnet_workload.Scenarios
+module Ddcr_trace = Rtnet_core.Ddcr_trace
+
+let random_instance rng =
+  match Prng.int rng 3 with
+  | 0 ->
+    Scenarios.uniform
+      ~sources:(2 + Prng.int rng 11)
+      ~classes_per_source:(1 + Prng.int rng 2)
+      ~load:(0.2 +. Prng.float rng 0.7)
+      ~deadline_windows:(1. +. Prng.float rng 3.)
+  | 1 -> Scenarios.atm_fabric ~ports:(2 + Prng.int rng 4)
+  | _ -> Scenarios.trading ~gateways:(2 + Prng.int rng 3)
+
+(* Misperception, optional wire noise, and either independent crash
+   windows on a random subset of stations or one window taking every
+   station down at once (the cold-restart path). *)
+let random_plan rng ~z ~horizon =
+  let window () =
+    let from_ = Prng.int rng (horizon / 2) in
+    (from_, from_ + 1 + Prng.int rng (horizon / 4))
+  in
+  let crashes =
+    if Prng.bool rng then
+      let from_, until = window () in
+      List.init z (fun source -> Fault_plan.crash ~source ~from_ ~until)
+    else
+      List.filter_map
+        (fun source ->
+          if Prng.int rng 3 = 0 then
+            let from_, until = window () in
+            Some (Fault_plan.crash ~source ~from_ ~until)
+          else None)
+        (List.init z Fun.id)
+  in
+  let noise = if Prng.bool rng then Fault_plan.iid 0.05 else Fault_plan.none in
+  List.fold_left Fault_plan.compose
+    (Fault_plan.compose noise
+       (Fault_plan.misperceive (0.001 +. Prng.float rng 0.05)))
+    crashes
+
+(* The same run twice — grouped stepping alone, then with the
+   [check_lockstep] oracle stepping every replica the ungrouped way and
+   asserting agreement each slot — must give the identical outcome and
+   event stream. *)
+let run_grouped_vs_oracle ~seed ~faulty ~burst =
+  let rng = Prng.create seed in
+  let inst = random_instance rng in
+  let params =
+    let p = Ddcr_params.default inst in
+    if burst then Ddcr_params.with_burst p 16_384 else p
+  in
+  let horizon = 3_000_000 in
+  let trace = Instance.trace inst ~seed ~horizon in
+  let spec =
+    if faulty then
+      Some (random_plan rng ~z:inst.Instance.num_sources ~horizon)
+    else None
+  in
+  let run ~check_lockstep =
+    let plan =
+      Option.map (Fault_plan.create ~horizon ~seed:(seed + 1)) spec
+    in
+    let record, finish = Ddcr_trace.collector () in
+    let o =
+      Ddcr.run_trace ~check_lockstep ~on_event:record ?plan params inst trace
+        ~horizon
+    in
+    (o, finish ())
+  in
+  let grouped, grouped_events = run ~check_lockstep:false in
+  let oracle, oracle_events = run ~check_lockstep:true in
+  grouped = oracle && grouped_events = oracle_events
+
+let prop_grouped_vs_oracle =
+  QCheck.Test.make ~name:"grouped run_trace agrees with per-replica oracle"
+    ~count:40
+    QCheck.(triple (int_range 0 10_000) bool bool)
+    (fun (seed, faulty, burst) -> run_grouped_vs_oracle ~seed ~faulty ~burst)
+
 (* -------------------- exploration -------------------- *)
 
 let uniform2 =
@@ -379,6 +462,7 @@ let suite =
     ( "model",
       [
         QCheck_alcotest.to_alcotest prop_differential;
+        QCheck_alcotest.to_alcotest prop_grouped_vs_oracle;
         Alcotest.test_case "clean instance proves clean" `Quick
           test_clean_instance_proves_clean;
         Alcotest.test_case "exploration is deterministic" `Quick
