@@ -462,7 +462,6 @@ let suite =
     ( "model",
       [
         QCheck_alcotest.to_alcotest prop_differential;
-        QCheck_alcotest.to_alcotest prop_grouped_vs_oracle;
         Alcotest.test_case "clean instance proves clean" `Quick
           test_clean_instance_proves_clean;
         Alcotest.test_case "exploration is deterministic" `Quick
@@ -479,5 +478,6 @@ let suite =
           test_committed_artifact_replays;
         Alcotest.test_case "trail folds into scheduled atoms" `Quick
           test_plan_of_trail;
+        QCheck_alcotest.to_alcotest prop_grouped_vs_oracle;
       ] );
   ]
