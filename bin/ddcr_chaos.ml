@@ -1,39 +1,48 @@
-(* ddcr_chaos: adversarial fault-schedule search for the DDCR stack.
+(* ddcr_chaos: adversarial search for safety and timeliness violations
+   of the DDCR stack, on one of three subjects: a flat DDCR segment
+   under a fault plan (the default), a bridged federation under
+   per-segment fault plans (--topo-segments), or the admission service
+   under a churn stream (--admit-params).  The flags pick the subject
+   once; every subcommand then runs the same pipeline over it.
 
-   `search` samples random fault plans over a severity budget, runs
-   each candidate through the harness on a supervised worker pool
+   `search` samples candidates, runs each on a supervised worker pool
    (watchdog timeout, bounded retry with backoff, graceful degradation
    on an exhausted wall budget) and classifies outcomes with the
-   analysis oracles.  `shrink` minimizes a failing plan by delta
-   debugging (drop events, narrow windows, weaken severities).
-   `replay` re-executes a frozen repro artifact and verifies that both
-   the verdict and the trace fingerprint reproduce byte-identically.
-   `soak` runs repeated searches under one wall budget, freezing each
-   de-duplicated finding as a repro artifact.
+   analysis oracles.  `shrink` minimizes a failing candidate by delta
+   debugging (drop fault events or requests, then narrow crash windows
+   and weaken severities).  `replay` re-executes a frozen repro
+   artifact of any subject and verifies that both the verdict and the
+   trace fingerprint reproduce byte-identically.  `soak` runs repeated
+   searches under one wall budget, freezing each de-duplicated finding
+   as a repro artifact.
 
    Exit codes: 0 success (for `search --expect-finding`: a violation
    was found; for `replay`: the artifact reproduced); 1 expectation
    failed (no finding / verdict or fingerprint drifted / shrink above
-   --max-fraction); 2 invalid config, artifact or I/O error.
+   --max-fraction); 2 invalid or conflicting flags, invalid config or
+   artifact, or I/O error.
 
    Examples:
      ddcr_chaos search -s videoconference -n 4 --horizon-ms 2 --candidates 32
      ddcr_chaos search --config test/fixtures/chaos_smoke.json -o finding.json
+     ddcr_chaos search --topo-segments 3 --load 0.3 --deadline-windows 8 \
+       --horizon-ms 5 --seed 29 --out-dir findings
      ddcr_chaos shrink --repro finding.json -o minimized.json
      ddcr_chaos replay test/fixtures/chaos_repro_min.json
      ddcr_chaos soak -s trading -n 3 --rounds 8 --wall-budget 60 --out-dir repros *)
 
 module Spec = Rtnet_campaign.Spec
-module Fault_plan = Rtnet_channel.Fault_plan
 module Oracle = Rtnet_analysis.Oracle
 module Generator = Rtnet_chaos.Generator
 module Candidate = Rtnet_chaos.Candidate
+module Subject = Rtnet_chaos.Subject
+module Plain = Subject.Plain
+module Topo = Subject.Topo
+module Admit = Subject.Admit
 module Search = Rtnet_chaos.Search
 module Shrink = Rtnet_chaos.Shrink
 module Repro = Rtnet_chaos.Repro
 module Soak = Rtnet_chaos.Soak
-module Registry = Rtnet_telemetry.Registry
-module Topo = Rtnet_topology.Topo
 module Flight = Rtnet_obs.Flight
 module Postmortem = Rtnet_obs.Postmortem
 
@@ -46,9 +55,10 @@ let config_file =
     value
     & opt (some file) None
     & info [ "config" ] ~docv:"FILE"
-        ~doc:"Load the search configuration from a JSON file (fields: \
+        ~doc:"Load a plain search configuration from a JSON file (fields: \
               scenario, horizon_ms, seed, candidates, budget, jobs, \
-              watchdog_s, retries, backoff_s, wall_budget_s).")
+              watchdog_s, retries, backoff_s, wall_budget_s).  Cannot be \
+              combined with --topo-segments or --admit-params.")
 
 let candidates_t =
   Arg.(
@@ -154,13 +164,15 @@ let admit_sources =
 
 let admit_pool =
   Arg.(
-    value & opt int 8
+    value
+    & opt int Admit.default_sampler.Admit.ad_pool
     & info [ "admit-pool" ] ~docv:"N"
         ~doc:"Admission mode: flow-id pool size per candidate stream.")
 
 let admit_requests =
   Arg.(
-    value & opt int 64
+    value
+    & opt int Admit.default_sampler.Admit.ad_requests
     & info [ "admit-requests" ] ~docv:"N"
         ~doc:"Admission mode: churn-stream length per candidate.")
 
@@ -176,55 +188,118 @@ let log_of quiet =
   if quiet then fun (_ : string) -> ()
   else fun m -> Printf.eprintf "ddcr_chaos: %s\n%!" m
 
-let config_of_args config_file scenario size load deadline_windows horizon_ms
-    seed candidates jobs watchdog retries backoff wall_budget max_events
-    max_rate =
-  match config_file with
-  | Some f -> Search.load_config f
-  | None ->
-    let cf =
-      {
-        Candidate.cf_scenario =
-          {
-            Spec.sc_kind = scenario;
-            sc_size = size;
-            sc_load = load;
-            sc_deadline_windows = deadline_windows;
-            sc_fanout = 1;
-          };
-        cf_horizon_ms = horizon_ms;
-        cf_params = None;
-      }
-    in
+(* -------------------- subject selection -------------------- *)
+
+type target =
+  | Target :
+      (module Subject.S
+         with type env = 'e
+          and type cand = 'c
+          and type sampler = 's)
+      * ('e, 's) Search.config
+      -> target
+
+(* The one place the flags pick a subject. *)
+let target config_file scenario size load deadline_windows horizon_ms seed
+    candidates jobs watchdog retries backoff wall_budget max_events max_rate
+    topo_segments topo_fanout topo_sources admit_params admit_sources
+    admit_pool admit_requests admit_phy =
+  let config env sampler =
+    {
+      Search.s_env = env;
+      s_sampler = sampler;
+      s_pool =
+        {
+          Search.p_seed = seed;
+          p_count = candidates;
+          p_jobs = jobs;
+          p_watchdog_s = (if watchdog <= 0. then None else Some watchdog);
+          p_retries = retries;
+          p_backoff_s = backoff;
+          p_wall_budget_s = wall_budget;
+        };
+    }
+  in
+  let budget =
+    {
+      Generator.default_budget with
+      Generator.g_max_events = max_events;
+      g_max_rate = max_rate;
+    }
+  in
+  match (config_file, topo_segments > 0, admit_params) with
+  | Some _, true, _ | Some _, _, Some _ ->
+    Error "--config describes a plain search; drop --topo-segments/--admit-params"
+  | None, true, Some _ ->
+    Error "--topo-segments and --admit-params select different subjects"
+  | Some file, false, None ->
+    Result.map (fun c -> Target ((module Plain), c)) (Search.load_config file)
+  | None, true, None ->
+    if topo_segments < 2 then Error "--topo-segments must be >= 2"
+    else
+      Ok
+        (Target
+           ( (module Topo),
+             config
+               {
+                 Topo.tc_segments = topo_segments;
+                 tc_fanout = topo_fanout;
+                 tc_sources = topo_sources;
+                 tc_load = load;
+                 tc_deadline_windows = deadline_windows;
+                 tc_horizon_ms = horizon_ms;
+               }
+               budget ))
+  | None, false, Some file -> (
+    match
+      Result.bind (Rtnet_util.Json.parse_file file) Rtnet_core.Ddcr_params.of_json
+    with
+    | Error e -> Error (Printf.sprintf "--admit-params %s: %s" file e)
+    | Ok params ->
+      Ok
+        (Target
+           ( (module Admit),
+             config
+               {
+                 Admit.an_phy = admit_phy;
+                 an_sources = admit_sources;
+                 an_params = params;
+                 an_horizon_ms = horizon_ms;
+               }
+               { Admit.ad_pool = admit_pool; ad_requests = admit_requests } )))
+  | None, false, None ->
     Ok
-      {
-        (Search.default_config cf) with
-        Search.s_seed = seed;
-        s_count = candidates;
-        s_jobs = jobs;
-        s_watchdog_s = (if watchdog <= 0. then None else Some watchdog);
-        s_retries = retries;
-        s_backoff_s = backoff;
-        s_wall_budget_s = wall_budget;
-        s_budget =
-          {
-            Generator.default_budget with
-            Generator.g_max_events = max_events;
-            g_max_rate = max_rate;
-          };
-      }
+      (Target
+         ( (module Plain),
+           config
+             {
+               Plain.cf_scenario =
+                 {
+                   Spec.sc_kind = scenario;
+                   sc_size = size;
+                   sc_load = load;
+                   sc_deadline_windows = deadline_windows;
+                   sc_fanout = 1;
+                 };
+               cf_horizon_ms = horizon_ms;
+               cf_params = None;
+             }
+             budget ))
 
-let write_repro ~config ~note path finding =
-  Repro.save ~path
-    (Repro.make ~config ~candidate:finding.Search.fi_candidate
-       ~report:finding.Search.fi_report ~note)
+let target_t =
+  Term.(
+    const target $ config_file $ Cli_common.scenario $ Cli_common.size
+    $ Cli_common.load $ Cli_common.deadline_windows $ Cli_common.horizon_ms
+    $ Cli_common.seed $ candidates_t $ jobs $ watchdog $ retries $ backoff
+    $ wall_budget $ max_events $ max_rate $ topo_segments $ topo_fanout
+    $ topo_sources $ admit_params $ admit_sources $ admit_pool $ admit_requests
+    $ admit_phy)
 
-let plans_label plans =
-  String.concat "; "
-    (List.map (fun (n, sp) -> n ^ ":" ^ Fault_plan.label sp) plans)
-
-let plans_events plans =
-  List.fold_left (fun a (_, sp) -> a + Fault_plan.event_count sp) 0 plans
+let with_target f = function
+  | Error e ->
+    Format.eprintf "ddcr_chaos: %s@." e;
+    2
+  | Ok target -> f target
 
 (* -------------------- search -------------------- *)
 
@@ -236,279 +311,73 @@ let expect_finding =
               smoke gate's assertion that the seeded violation is still \
               found.")
 
-(* Topology mode: the same search loop over federated-tree candidates
-   (per-segment fault plans, end-to-end oracle verdicts). *)
-let run_topo_search ~segments ~fanout ~sources ~load ~deadline_windows
-    ~horizon_ms ~seed ~candidates ~jobs ~watchdog ~retries ~backoff
-    ~wall_budget ~max_events ~max_rate ~out ~out_dir ~quiet ~expect_finding =
-  let tc =
-    {
-      Candidate.tc_segments = segments;
-      tc_fanout = fanout;
-      tc_sources = sources;
-      tc_load = load;
-      tc_deadline_windows = deadline_windows;
-      tc_horizon_ms = horizon_ms;
-    }
-  in
-  let config =
-    {
-      (Search.default_topo_config tc) with
-      Search.t_seed = seed;
-      t_count = candidates;
-      t_jobs = jobs;
-      t_watchdog_s = (if watchdog <= 0. then None else Some watchdog);
-      t_retries = retries;
-      t_backoff_s = backoff;
-      t_wall_budget_s = wall_budget;
-      t_budget =
-        {
-          Generator.default_budget with
-          Generator.g_max_events = max_events;
-          g_max_rate = max_rate;
-        };
-    }
-  in
-  let log = log_of quiet in
-  let registry = Registry.create () in
-  let res = Search.run_topo ~registry ~log config in
-  Format.printf
-    "topo search: %d/%d candidates examined, %d finding(s), %d gave up%s@."
-    res.Search.tr_examined config.Search.t_count
-    (List.length res.Search.tr_findings)
-    (List.length res.Search.tr_gave_up)
-    (if res.Search.tr_exhausted then " (budget exhausted, partial)" else "");
+let search (type e c s)
+    ((module S) :
+      (module Subject.S with type env = e and type cand = c and type sampler = s))
+    (config : (e, s) Search.config) ~out ~out_dir ~quiet ~expect_finding =
+  let res = Search.run ~log:(log_of quiet) (module S) config in
+  let findings = res.Search.r_findings in
+  Format.printf "%ssearch: %d/%d candidates examined, %d finding(s), %d gave \
+                 up%s@."
+    S.prefix res.Search.r_examined config.Search.s_pool.Search.p_count
+    (List.length findings)
+    (List.length res.Search.r_gave_up)
+    (if res.Search.r_exhausted then " (budget exhausted, partial)" else "");
   List.iter
     (fun f ->
-      Format.printf "  candidate %d [%s]: %s@." f.Search.tf_index
-        (plans_label f.Search.tf_candidate.Candidate.td_plans)
-        (Oracle.describe f.Search.tf_report.Candidate.rp_verdict))
-    res.Search.tr_findings;
-  let note i =
-    Printf.sprintf "topo search seed=%d candidate=%d" config.Search.t_seed i
+      Format.printf "  candidate %d [%s]: %s@." f.Search.fi_index
+        (S.label f.Search.fi_candidate)
+        (Oracle.describe f.Search.fi_report.Candidate.rp_verdict))
+    findings;
+  let write path f =
+    Repro.save (module S) ~path
+      (Repro.make ~env:config.Search.s_env ~cand:f.Search.fi_candidate
+         ~report:f.Search.fi_report
+         ~note:
+           (Printf.sprintf "%ssearch seed=%d candidate=%d" S.prefix
+              config.Search.s_pool.Search.p_seed f.Search.fi_index))
   in
-  let write path (f : Search.topo_finding) =
-    Repro.save_topo ~path
-      (Repro.make_topo ~config:tc ~candidate:f.Search.tf_candidate
-         ~report:f.Search.tf_report ~note:(note f.Search.tf_index))
-  in
-  (try
-     (match (out, res.Search.tr_findings) with
-     | Some path, f :: _ ->
-       write path f;
-       Format.printf "first finding written to %s@." path
-     | Some _, [] | None, _ -> ());
-     match out_dir with
-     | None -> Ok ()
-     | Some dir ->
-       List.iter
-         (fun f ->
-           write
-             (Filename.concat dir
-                (Printf.sprintf "topo_chaos_finding_%d.json" f.Search.tf_index))
-             f)
-         res.Search.tr_findings;
-       Ok ()
-   with Sys_error e -> Error e)
-  |> function
-  | Error e ->
+  match
+    (match (out, findings) with
+    | Some path, f :: _ ->
+      write path f;
+      Format.printf "first finding written to %s@." path
+    | Some _, [] | None, _ -> ());
+    Option.iter
+      (fun dir ->
+        List.iter
+          (fun f ->
+            write
+              (Filename.concat dir
+                 (Printf.sprintf "%schaos_finding_%d.json" (Subject.slug S.prefix)
+                    f.Search.fi_index))
+              f)
+          findings)
+      out_dir
+  with
+  | exception Sys_error e ->
     Format.eprintf "ddcr_chaos: cannot write artifact: %s@." e;
     2
-  | Ok () ->
-    if expect_finding && res.Search.tr_findings = [] then begin
-      Format.eprintf
-        "ddcr_chaos: --expect-finding: no violation found in %d candidates@."
-        res.Search.tr_examined;
-      1
-    end
-    else 0
+  | () when expect_finding && findings = [] ->
+    Format.eprintf
+      "ddcr_chaos: --expect-finding: no violation found in %d candidates@."
+      res.Search.r_examined;
+    1
+  | () -> 0
 
-(* Admission mode: the same search loop over churn-stream candidates
-   (admit the stream, simulate the admitted set). *)
-let run_admit_search ~params_file ~sources ~pool ~requests ~phy ~horizon_ms
-    ~seed ~candidates ~jobs ~watchdog ~retries ~backoff ~wall_budget ~out
-    ~out_dir ~quiet ~expect_finding =
-  match
-    Result.bind (Rtnet_util.Json.parse_file params_file)
-      Rtnet_core.Ddcr_params.of_json
-  with
-  | Error e ->
-    Format.eprintf "ddcr_chaos: --admit-params %s: %s@." params_file e;
-    2
-  | Ok params ->
-    let ac =
-      {
-        Candidate.an_phy = phy;
-        an_sources = sources;
-        an_params = params;
-        an_horizon_ms = horizon_ms;
-      }
-    in
-    let config =
-      {
-        (Search.default_admit_config ac) with
-        Search.a_seed = seed;
-        a_count = candidates;
-        a_pool = pool;
-        a_requests = requests;
-        a_jobs = jobs;
-        a_watchdog_s = (if watchdog <= 0. then None else Some watchdog);
-        a_retries = retries;
-        a_backoff_s = backoff;
-        a_wall_budget_s = wall_budget;
-      }
-    in
-    let log = log_of quiet in
-    let registry = Registry.create () in
-    let res = Search.run_admit ~registry ~log config in
-    Format.printf
-      "admit search: %d/%d candidates examined, %d finding(s), %d gave up%s@."
-      res.Search.as_examined config.Search.a_count
-      (List.length res.Search.as_findings)
-      (List.length res.Search.as_gave_up)
-      (if res.Search.as_exhausted then " (budget exhausted, partial)" else "");
-    List.iter
-      (fun f ->
-        Format.printf "  candidate %d [%d request(s)]: %s@." f.Search.af_index
-          (List.length f.Search.af_candidate.Candidate.ar_requests)
-          (Oracle.describe f.Search.af_report.Candidate.rp_verdict))
-      res.Search.as_findings;
-    let note i =
-      Printf.sprintf "admit search seed=%d candidate=%d" config.Search.a_seed i
-    in
-    let write path (f : Search.admit_finding) =
-      Repro.save_admission ~path
-        (Repro.make_admission ~config:ac ~candidate:f.Search.af_candidate
-           ~report:f.Search.af_report ~note:(note f.Search.af_index))
-    in
-    (try
-       (match (out, res.Search.as_findings) with
-       | Some path, f :: _ ->
-         write path f;
-         Format.printf "first finding written to %s@." path
-       | Some _, [] | None, _ -> ());
-       match out_dir with
-       | None -> Ok ()
-       | Some dir ->
-         List.iter
-           (fun f ->
-             write
-               (Filename.concat dir
-                  (Printf.sprintf "admit_chaos_finding_%d.json"
-                     f.Search.af_index))
-               f)
-           res.Search.as_findings;
-         Ok ()
-     with Sys_error e -> Error e)
-    |> ( function
-    | Error e ->
-      Format.eprintf "ddcr_chaos: cannot write artifact: %s@." e;
-      2
-    | Ok () ->
-      if expect_finding && res.Search.as_findings = [] then begin
-        Format.eprintf
-          "ddcr_chaos: --expect-finding: no violation found in %d candidates@."
-          res.Search.as_examined;
-        1
-      end
-      else 0 )
-
-let run_search config_file scenario size load deadline_windows horizon_ms seed
-    candidates jobs watchdog retries backoff wall_budget max_events max_rate
-    out out_dir quiet expect_finding topo_segments topo_fanout topo_sources
-    admit_params admit_sources admit_pool admit_requests admit_phy =
-  match admit_params with
-  | Some params_file ->
-    run_admit_search ~params_file ~sources:admit_sources ~pool:admit_pool
-      ~requests:admit_requests ~phy:admit_phy ~horizon_ms ~seed ~candidates
-      ~jobs ~watchdog ~retries ~backoff ~wall_budget ~out ~out_dir ~quiet
-      ~expect_finding
-  | None ->
-  if topo_segments > 0 then
-    if topo_segments < 2 then begin
-      Format.eprintf "ddcr_chaos: --topo-segments must be >= 2@.";
-      2
-    end
-    else
-      run_topo_search ~segments:topo_segments ~fanout:topo_fanout
-        ~sources:topo_sources ~load ~deadline_windows ~horizon_ms ~seed
-        ~candidates ~jobs ~watchdog ~retries ~backoff ~wall_budget ~max_events
-        ~max_rate ~out ~out_dir ~quiet ~expect_finding
-  else
-  match
-    config_of_args config_file scenario size load deadline_windows horizon_ms
-      seed candidates jobs watchdog retries backoff wall_budget max_events
-      max_rate
-  with
-  | Error e ->
-    Format.eprintf "ddcr_chaos: %s@." e;
-    2
-  | Ok config -> (
-    let log = log_of quiet in
-    let registry = Registry.create () in
-    let res = Search.run ~registry ~log config in
-    Format.printf "search: %d/%d candidates examined, %d finding(s), %d gave \
-                   up%s@."
-      res.Search.r_examined config.Search.s_count
-      (List.length res.Search.r_findings)
-      (List.length res.Search.r_gave_up)
-      (if res.Search.r_exhausted then " (budget exhausted, partial)" else "");
-    List.iter
-      (fun f ->
-        Format.printf "  candidate %d [%s]: %s@." f.Search.fi_index
-          (Fault_plan.label f.Search.fi_candidate.Candidate.cd_plan)
-          (Oracle.describe f.Search.fi_report.Candidate.rp_verdict))
-      res.Search.r_findings;
-    let note i =
-      Printf.sprintf "search seed=%d candidate=%d" config.Search.s_seed i
-    in
-    (try
-       (match (out, res.Search.r_findings) with
-       | Some path, f :: _ ->
-         write_repro ~config:config.Search.s_candidate ~note:(note f.Search.fi_index)
-           path f;
-         Format.printf "first finding written to %s@." path
-       | Some _, [] | None, _ -> ());
-       match out_dir with
-       | None -> Ok ()
-       | Some dir ->
-         List.iter
-           (fun f ->
-             write_repro ~config:config.Search.s_candidate
-               ~note:(note f.Search.fi_index)
-               (Filename.concat dir
-                  (Printf.sprintf "chaos_finding_%d.json" f.Search.fi_index))
-               f)
-           res.Search.r_findings;
-         Ok ()
-     with Sys_error e -> Error e)
-    |> function
-    | Error e ->
-      Format.eprintf "ddcr_chaos: cannot write artifact: %s@." e;
-      2
-    | Ok () ->
-      if expect_finding && res.Search.r_findings = [] then begin
-        Format.eprintf
-          "ddcr_chaos: --expect-finding: no violation found in %d candidates@."
-          res.Search.r_examined;
-        1
-      end
-      else 0)
+let run_search target out out_dir quiet expect_finding =
+  with_target
+    (fun (Target (subject, config)) ->
+      search subject config ~out ~out_dir ~quiet ~expect_finding)
+    target
 
 let search_cmd =
   let term =
-    Term.(
-      const run_search $ config_file $ Cli_common.scenario $ Cli_common.size
-      $ Cli_common.load $ Cli_common.deadline_windows $ Cli_common.horizon_ms
-      $ Cli_common.seed $ candidates_t $ jobs $ watchdog $ retries $ backoff
-      $ wall_budget $ max_events $ max_rate $ out $ out_dir $ quiet
-      $ expect_finding $ topo_segments $ topo_fanout $ topo_sources
-      $ admit_params $ admit_sources $ admit_pool $ admit_requests
-      $ admit_phy)
+    Term.(const run_search $ target_t $ out $ out_dir $ quiet $ expect_finding)
   in
   Cmd.v
     (Cmd.info "search"
-       ~doc:"Sample adversarial fault plans and hunt for oracle violations")
+       ~doc:"Sample adversarial candidates and hunt for oracle violations")
     term
 
 (* -------------------- shrink -------------------- *)
@@ -536,180 +405,67 @@ let max_fraction =
               original event count — the smoke gate's shrink-quality \
               assertion.")
 
-(* The shared tail of both shrink paths: report the reduction, enforce the
-   optional --max-fraction quality gate. *)
-let finish_shrink ~shrink_out ~max_fraction ~original_events ~shrunk_events
-    ~plan_label ~verdict =
-  Format.printf "shrink: %d -> %d event(s) [%s], verdict %s, written to %s@."
-    original_events shrunk_events plan_label (Oracle.label verdict) shrink_out;
-  match max_fraction with
-  | Some f when float_of_int shrunk_events > f *. float_of_int original_events
-    ->
-    Format.eprintf
-      "ddcr_chaos: --max-fraction %.2f: minimized plan still has %d of %d \
-       events@."
-      f shrunk_events original_events;
-    1
-  | _ -> 0
-
-let run_topo_shrink ~log ~repro_in ~shrink_out ~max_fraction
-    (repro : Repro.topo) =
-  let config, td = Repro.topo_candidate repro in
-  let oracle plans =
-    (Candidate.run_topo config { td with Candidate.td_plans = plans })
-      .Candidate.rp_verdict
-  in
-  let original_events = plans_events repro.Repro.rt_plans in
+let shrink (type e c) ((module S) : (e, c) Subject.t) (repro : (e, c) Repro.t)
+    ~repro_in ~shrink_out ~max_fraction ~log =
+  let run cand = S.run repro.Repro.re_env cand in
+  let expected = repro.Repro.re_verdict in
   let res =
-    Shrink.run_topo ~oracle ~target:repro.Repro.rt_verdict repro.Repro.rt_plans
+    Shrink.run (module S)
+      ~oracle:(fun cand -> (run cand).Candidate.rp_verdict)
+      ~target:expected repro.Repro.re_cand
   in
-  let shrunk_events = plans_events res.Shrink.st_plans in
-  if not (Oracle.same_class res.Shrink.st_verdict repro.Repro.rt_verdict) then begin
+  let original = S.size repro.Repro.re_cand in
+  let shrunk = S.size res.Shrink.sh_cand in
+  if not (Oracle.same_class res.Shrink.sh_verdict expected) then begin
     Format.eprintf
       "ddcr_chaos: the repro does not reproduce its own verdict (%s vs \
        expected %s) — nothing to shrink@."
-      (Oracle.label res.Shrink.st_verdict)
-      (Oracle.label repro.Repro.rt_verdict);
+      (Oracle.label res.Shrink.sh_verdict)
+      (Oracle.label expected);
     1
   end
   else begin
     log
-      (Printf.sprintf "shrink: %d -> %d event(s) in %d oracle check(s)"
-         original_events shrunk_events res.Shrink.st_checks);
-    let minimized_cd = { td with Candidate.td_plans = res.Shrink.st_plans } in
-    let report = Candidate.run_topo config minimized_cd in
+      (Printf.sprintf "shrink: %d -> %d %s(s) in %d oracle check(s)" original
+         shrunk S.unit res.Shrink.sh_checks);
+    (* Re-freeze with the minimized candidate's own verdict and
+       fingerprint: the minimized artifact must replay byte-identically
+       too. *)
+    let report = run res.Shrink.sh_cand in
     let minimized =
-      Repro.make_topo ~config ~candidate:minimized_cd ~report
+      Repro.make ~env:repro.Repro.re_env ~cand:res.Shrink.sh_cand ~report
         ~note:
-          (Printf.sprintf "shrunk from %s (%d -> %d events)"
-             (Filename.basename repro_in) original_events shrunk_events)
+          (Printf.sprintf "shrunk from %s (%d -> %d %ss)"
+             (Filename.basename repro_in) original shrunk S.unit)
     in
-    match Repro.save_topo ~path:shrink_out minimized with
-    | () ->
-      finish_shrink ~shrink_out ~max_fraction ~original_events ~shrunk_events
-        ~plan_label:(plans_label res.Shrink.st_plans)
-        ~verdict:report.Candidate.rp_verdict
+    match Repro.save (module S) ~path:shrink_out minimized with
     | exception Sys_error e ->
       Format.eprintf "ddcr_chaos: cannot write %s: %s@." shrink_out e;
       2
-  end
-
-(* Admission findings shrink over the churn stream itself: ddmin drops
-   requests (an order-preserving subsequence) while the verdict class
-   holds.  "Events" are requests here. *)
-let run_admit_shrink ~log ~repro_in ~shrink_out ~max_fraction
-    (repro : Repro.admission) =
-  let config, ad = Repro.admission_candidate repro in
-  let oracle reqs =
-    (Candidate.run_admit config { ad with Candidate.ar_requests = reqs })
-      .Candidate.rp_verdict
-  in
-  let original_events = List.length repro.Repro.ra_requests in
-  let res =
-    Shrink.run_admit ~oracle ~target:repro.Repro.ra_verdict
-      repro.Repro.ra_requests
-  in
-  let shrunk_events = List.length res.Shrink.sa_requests in
-  if not (Oracle.same_class res.Shrink.sa_verdict repro.Repro.ra_verdict)
-  then begin
-    Format.eprintf
-      "ddcr_chaos: the repro does not reproduce its own verdict (%s vs \
-       expected %s) — nothing to shrink@."
-      (Oracle.label res.Shrink.sa_verdict)
-      (Oracle.label repro.Repro.ra_verdict);
-    1
-  end
-  else begin
-    log
-      (Printf.sprintf "shrink: %d -> %d request(s) in %d oracle check(s)"
-         original_events shrunk_events res.Shrink.sa_checks);
-    let minimized_cd = { ad with Candidate.ar_requests = res.Shrink.sa_requests } in
-    let report = Candidate.run_admit config minimized_cd in
-    let minimized =
-      Repro.make_admission ~config ~candidate:minimized_cd ~report
-        ~note:
-          (Printf.sprintf "shrunk from %s (%d -> %d requests)"
-             (Filename.basename repro_in) original_events shrunk_events)
-    in
-    match Repro.save_admission ~path:shrink_out minimized with
-    | () ->
-      finish_shrink ~shrink_out ~max_fraction ~original_events ~shrunk_events
-        ~plan_label:(Printf.sprintf "%d request(s)" shrunk_events)
-        ~verdict:report.Candidate.rp_verdict
-    | exception Sys_error e ->
-      Format.eprintf "ddcr_chaos: cannot write %s: %s@." shrink_out e;
-      2
+    | () -> (
+      Format.printf "shrink: %d -> %d event(s) [%s], verdict %s, written to %s@."
+        original shrunk
+        (S.label res.Shrink.sh_cand)
+        (Oracle.label report.Candidate.rp_verdict)
+        shrink_out;
+      match max_fraction with
+      | Some f when float_of_int shrunk > f *. float_of_int original ->
+        Format.eprintf
+          "ddcr_chaos: --max-fraction %.2f: minimized plan still has %d of %d \
+           events@."
+          f shrunk original;
+        1
+      | _ -> 0)
   end
 
 let run_shrink repro_in shrink_out max_fraction quiet =
-  let log = log_of quiet in
   match Repro.load_any ~path:repro_in with
   | Error e ->
     Format.eprintf "ddcr_chaos: %s@." e;
     2
-  | Ok (Repro.Federated repro) ->
-    run_topo_shrink ~log ~repro_in ~shrink_out ~max_fraction repro
-  | Ok (Repro.Admission repro) ->
-    run_admit_shrink ~log ~repro_in ~shrink_out ~max_fraction repro
-  | Ok (Repro.Plain repro) -> (
-    let config, cd = Repro.candidate repro in
-    let oracle sp =
-      (Candidate.run config { cd with Candidate.cd_plan = sp })
-        .Candidate.rp_verdict
-    in
-    let original_events = Fault_plan.event_count repro.Repro.re_plan in
-    let res =
-      Shrink.run ~oracle ~target:repro.Repro.re_verdict repro.Repro.re_plan
-    in
-    let shrunk_events = Fault_plan.event_count res.Shrink.sh_plan in
-    if not (Oracle.same_class res.Shrink.sh_verdict repro.Repro.re_verdict)
-    then begin
-      Format.eprintf
-        "ddcr_chaos: the repro does not reproduce its own verdict (%s vs \
-         expected %s) — nothing to shrink@."
-        (Oracle.label res.Shrink.sh_verdict)
-        (Oracle.label repro.Repro.re_verdict);
-      1
-    end
-    else begin
-      log
-        (Printf.sprintf "shrink: %d -> %d event(s) in %d oracle check(s)"
-           original_events shrunk_events res.Shrink.sh_checks);
-      (* Re-freeze with the minimized plan's own verdict/fingerprint:
-         the minimized artifact must replay byte-identically too. *)
-      let report =
-        Candidate.run config { cd with Candidate.cd_plan = res.Shrink.sh_plan }
-      in
-      let minimized =
-        Repro.make ~config
-          ~candidate:{ cd with Candidate.cd_plan = res.Shrink.sh_plan }
-          ~report
-          ~note:
-            (Printf.sprintf "shrunk from %s (%d -> %d events)"
-               (Filename.basename repro_in) original_events shrunk_events)
-      in
-      match Repro.save ~path:shrink_out minimized with
-      | () ->
-        Format.printf
-          "shrink: %d -> %d event(s) [%s], verdict %s, written to %s@."
-          original_events shrunk_events
-          (Fault_plan.label res.Shrink.sh_plan)
-          (Oracle.label report.Candidate.rp_verdict)
-          shrink_out;
-        (match max_fraction with
-        | Some f
-          when float_of_int shrunk_events
-               > f *. float_of_int original_events ->
-          Format.eprintf
-            "ddcr_chaos: --max-fraction %.2f: minimized plan still has %d of \
-             %d events@."
-            f shrunk_events original_events;
-          1
-        | _ -> 0)
-      | exception Sys_error e ->
-        Format.eprintf "ddcr_chaos: cannot write %s: %s@." shrink_out e;
-        2
-    end)
+  | Ok (Repro.Any (kind, repro)) ->
+    shrink (Subject.of_kind kind) repro ~repro_in ~shrink_out ~max_fraction
+      ~log:(log_of quiet)
 
 let shrink_cmd =
   let term =
@@ -718,8 +474,8 @@ let shrink_cmd =
   Cmd.v
     (Cmd.info "shrink"
        ~doc:
-         "Minimize a failing plan by delta debugging (drop events, narrow \
-          windows, weaken severities) while preserving the verdict")
+         "Minimize a failing candidate by delta debugging (drop events, \
+          narrow windows, weaken severities) while preserving the verdict")
     term
 
 (* -------------------- replay -------------------- *)
@@ -742,95 +498,91 @@ let replay_postmortem_out =
            fingerprint.  Because the seeds are frozen, re-running the same \
            replay writes a byte-identical artifact.")
 
-(* Shared verdict printing for both artifact flavors. *)
-let report_replay ~replay_file ~expected_verdict ~expected_fingerprint
-    (r : Repro.replay) =
-  Format.printf "replay %s: verdict %s (%s), fingerprint %s@."
-    (Filename.basename replay_file)
-    (Oracle.label r.Repro.rr_report.Candidate.rp_verdict)
-    (if r.Repro.rr_verdict_ok then "matches" else "DRIFTED")
-    (if r.Repro.rr_fingerprint_ok then "matches" else "DRIFTED");
-  if r.Repro.rr_verdict_ok && r.Repro.rr_fingerprint_ok then 0
-  else begin
+(* Replay a federated artifact with flight recorders attached and
+   re-freeze the black box of the frozen failure. *)
+let replay_with_postmortem (t : (Topo.env, Topo.cand) Repro.t) out =
+  let flights = ref [] in
+  let result = ref None in
+  let report =
+    Topo.run_observed
+      ~sink_for:(fun ~index ~segment ->
+        let f = Flight.create ~segment () in
+        flights := (index, f) :: !flights;
+        Flight.sink f)
+      ~on_result:(fun r -> result := Some r)
+      t.Repro.re_env t.Repro.re_cand
+  in
+  (match !result with
+  | Some res ->
+    (* The trigger is taken from the replayed result itself; if the
+       oracle verdict fired on evidence outside the driver's own miss
+       accounting, fall back to the artifact's frozen verdict label. *)
+    let trigger =
+      match Postmortem.trigger_of_result res with
+      | Some trigger -> trigger
+      | None -> Postmortem.Verdict (Oracle.label t.Repro.re_verdict)
+    in
+    let env = t.Repro.re_env in
+    let pm =
+      Postmortem.build ~trigger
+        ~topology:(Topo.tree env).Rtnet_topology.Topo.tp_name
+        ~seed:t.Repro.re_cand.Topo.td_trace_seed
+        ~fault_seed:t.Repro.re_cand.Topo.td_fault_seed
+        ~horizon:(env.Topo.tc_horizon_ms * 1_000_000)
+        ~result:res
+        ~flights:(List.map snd (List.sort compare !flights))
+        ~repro:(t.Repro.re_note, t.Repro.re_fingerprint)
+        ()
+    in
+    Postmortem.save ~path:out pm;
+    Format.printf "postmortem: %s (trigger: %a)@." out Postmortem.pp_trigger
+      trigger
+  | None ->
     Format.eprintf
-      "ddcr_chaos: %s no longer reproduces: expected %s / %s, got %s / %s@."
-      replay_file
-      (Oracle.describe expected_verdict)
-      expected_fingerprint
-      (Oracle.describe r.Repro.rr_report.Candidate.rp_verdict)
-      r.Repro.rr_report.Candidate.rp_fingerprint;
-    1
-  end
+      "ddcr_chaos: replay ended in a configuration error — no driver result, \
+       %s not written@."
+      out);
+  Repro.verify t report
+
+let replay (type e c) (kind : (e, c) Subject.kind) (t : (e, c) Repro.t)
+    postmortem_out =
+  match (kind, postmortem_out) with
+  | Subject.Topo, Some out -> replay_with_postmortem t out
+  | _, Some _ ->
+    Format.eprintf
+      "ddcr_chaos: --postmortem-out applies to federated artifacts only; \
+       ignoring@.";
+    Repro.replay (Subject.of_kind kind) t
+  | _, None -> Repro.replay (Subject.of_kind kind) t
 
 let run_replay replay_file postmortem_out =
   match Repro.load_any ~path:replay_file with
   | Error e ->
     Format.eprintf "ddcr_chaos: %s@." e;
     2
-  | Ok (Repro.Plain repro) ->
-    if postmortem_out <> None then
-      Format.eprintf
-        "ddcr_chaos: --postmortem-out applies to federated artifacts only; \
-         ignoring@.";
-    report_replay ~replay_file ~expected_verdict:repro.Repro.re_verdict
-      ~expected_fingerprint:repro.Repro.re_fingerprint (Repro.replay repro)
-  | Ok (Repro.Admission repro) ->
-    if postmortem_out <> None then
-      Format.eprintf
-        "ddcr_chaos: --postmortem-out applies to federated artifacts only; \
-         ignoring@.";
-    report_replay ~replay_file ~expected_verdict:repro.Repro.ra_verdict
-      ~expected_fingerprint:repro.Repro.ra_fingerprint
-      (Repro.replay_admission repro)
-  | Ok (Repro.Federated repro) ->
-    let flights = ref [] in
-    let result = ref None in
-    let sink_for, on_result =
-      match postmortem_out with
-      | None -> (None, None)
-      | Some _ ->
-        ( Some
-            (fun ~index ~segment ->
-              let f = Flight.create ~segment () in
-              flights := (index, f) :: !flights;
-              Flight.sink f),
-          Some (fun r -> result := Some r) )
-    in
-    let r = Repro.replay_topo ?sink_for ?on_result repro in
-    (match (postmortem_out, !result) with
-    | Some out, Some res ->
-      (* Re-freeze the black box of the frozen failure.  The trigger is
-         taken from the replayed result itself; if the oracle verdict
-         fired on evidence outside the driver's own miss accounting,
-         fall back to the artifact's frozen verdict label. *)
-      let trigger =
-        match Postmortem.trigger_of_result res with
-        | Some t -> t
-        | None -> Postmortem.Verdict (Oracle.label repro.Repro.rt_verdict)
-      in
-      let pm =
-        Postmortem.build ~trigger
-          ~topology:
-            (Candidate.topo_tree repro.Repro.rt_config).Topo.tp_name
-          ~seed:repro.Repro.rt_trace_seed
-          ~fault_seed:repro.Repro.rt_fault_seed
-          ~horizon:(repro.Repro.rt_config.Candidate.tc_horizon_ms * 1_000_000)
-          ~result:res
-          ~flights:(List.map snd (List.sort compare !flights))
-          ~repro:(repro.Repro.rt_note, repro.Repro.rt_fingerprint)
-          ()
-      in
-      Postmortem.save ~path:out pm;
-      Format.printf "postmortem: %s (trigger: %a)@." out Postmortem.pp_trigger
-        trigger
-    | Some out, None ->
-      Format.eprintf
-        "ddcr_chaos: replay ended in a configuration error — no driver \
-         result, %s not written@."
-        out
-    | None, _ -> ());
-    report_replay ~replay_file ~expected_verdict:repro.Repro.rt_verdict
-      ~expected_fingerprint:repro.Repro.rt_fingerprint r
+  | Ok (Repro.Any (kind, t)) -> (
+    match replay kind t postmortem_out with
+    | exception Sys_error e ->
+      Format.eprintf "ddcr_chaos: cannot write postmortem: %s@." e;
+      2
+    | r ->
+      let got = r.Repro.rr_report in
+      Format.printf "replay %s: verdict %s (%s), fingerprint %s@."
+        (Filename.basename replay_file)
+        (Oracle.label got.Candidate.rp_verdict)
+        (if r.Repro.rr_verdict_ok then "matches" else "DRIFTED")
+        (if r.Repro.rr_fingerprint_ok then "matches" else "DRIFTED");
+      if r.Repro.rr_verdict_ok && r.Repro.rr_fingerprint_ok then 0
+      else begin
+        Format.eprintf
+          "ddcr_chaos: %s no longer reproduces: expected %s / %s, got %s / %s@."
+          replay_file
+          (Oracle.describe t.Repro.re_verdict)
+          t.Repro.re_fingerprint
+          (Oracle.describe got.Candidate.rp_verdict)
+          got.Candidate.rp_fingerprint;
+        1
+      end)
 
 let replay_cmd =
   let term = Term.(const run_replay $ replay_file $ replay_postmortem_out) in
@@ -848,46 +600,48 @@ let rounds =
     value & opt int 4
     & info [ "rounds" ] ~docv:"N" ~doc:"Maximum search rounds.")
 
-let run_soak config_file scenario size load deadline_windows horizon_ms seed
-    candidates jobs watchdog retries backoff wall_budget max_events max_rate
-    rounds out_dir quiet =
-  match
-    config_of_args config_file scenario size load deadline_windows horizon_ms
-      seed candidates jobs watchdog retries backoff None max_events max_rate
-  with
-  | Error e ->
-    Format.eprintf "ddcr_chaos: %s@." e;
-    2
-  | Ok search_config ->
-    let log = log_of quiet in
-    (match out_dir with
-    | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
-    | _ -> ());
-    let res =
-      Soak.run ~log
-        {
-          Soak.so_search = search_config;
-          so_rounds = rounds;
-          so_wall_budget_s = wall_budget;
-          so_out_dir = out_dir;
-        }
-    in
-    Format.printf
-      "soak: %d round(s), %d candidate(s) examined, %d distinct finding(s), \
-       %d gave up%s@."
-      res.Soak.so_rounds_run res.Soak.so_examined res.Soak.so_findings
-      res.Soak.so_gave_up
-      (if res.Soak.so_exhausted then " (budget exhausted)" else "");
-    List.iter (fun p -> Format.printf "  %s@." p) res.Soak.so_repro_paths;
-    0
+let ensure_dir dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+  else if not (Sys.is_directory dir) then
+    raise (Sys_error (dir ^ ": not a directory"))
+
+let soak (type e c s)
+    ((module S) :
+      (module Subject.S with type env = e and type cand = c and type sampler = s))
+    (search : (e, s) Search.config) ~rounds ~wall_budget ~out_dir ~quiet =
+  Option.iter ensure_dir out_dir;
+  let res =
+    Soak.run ~log:(log_of quiet) (module S)
+      {
+        Soak.so_search = search;
+        so_rounds = rounds;
+        so_wall_budget_s = wall_budget;
+        so_out_dir = out_dir;
+      }
+  in
+  Format.printf
+    "soak: %d round(s), %d candidate(s) examined, %d distinct finding(s), %d \
+     gave up%s@."
+    res.Soak.so_rounds_run res.Soak.so_examined res.Soak.so_findings
+    res.Soak.so_gave_up
+    (if res.Soak.so_exhausted then " (budget exhausted)" else "");
+  List.iter (fun p -> Format.printf "  %s@." p) res.Soak.so_repro_paths
+
+let run_soak target wall_budget rounds out_dir quiet =
+  with_target
+    (fun (Target (subject, search)) ->
+      match
+        soak subject search ~rounds ~wall_budget ~out_dir ~quiet
+      with
+      | () -> 0
+      | exception Sys_error e ->
+        Format.eprintf "ddcr_chaos: cannot write artifact: %s@." e;
+        2)
+    target
 
 let soak_cmd =
   let term =
-    Term.(
-      const run_soak $ config_file $ Cli_common.scenario $ Cli_common.size
-      $ Cli_common.load $ Cli_common.deadline_windows $ Cli_common.horizon_ms
-      $ Cli_common.seed $ candidates_t $ jobs $ watchdog $ retries $ backoff
-      $ wall_budget $ max_events $ max_rate $ rounds $ out_dir $ quiet)
+    Term.(const run_soak $ target_t $ wall_budget $ rounds $ out_dir $ quiet)
   in
   Cmd.v
     (Cmd.info "soak"

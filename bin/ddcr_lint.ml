@@ -190,6 +190,15 @@ let dump ~seed ~horizon params inst path =
       Trace_io.output ~deadline_of:(Hashtbl.find_opt deadlines) oc events);
   Format.printf "wrote %d events to %s@." (List.length events) path
 
+(* One line per valid artifact, whatever its subject. *)
+let describe_repro (type e c) ~path ~declared
+    (kind : (e, c) Rtnet_chaos.Subject.kind) (r : (e, c) Rtnet_chaos.Repro.t) =
+  let (module S) = Rtnet_chaos.Subject.of_kind kind in
+  Printf.sprintf "%schaos repro %s: schema v%s, %s, verdict %s ok" S.prefix path
+    (declared (Rtnet_chaos.Repro.version_key S.prefix))
+    (S.summary r.Rtnet_chaos.Repro.re_env r.Rtnet_chaos.Repro.re_cand)
+    (Rtnet_analysis.Oracle.label r.Rtnet_chaos.Repro.re_verdict)
+
 let main scenario size load deadline_windows indices burst theta allocation
     seed horizon_ms strict with_trace bounded max_m max_leaves all_scenarios
     check_trace_file check_perfetto_file check_repro_file
@@ -225,32 +234,8 @@ let main scenario size load deadline_windows indices burst theta allocation
         | Error _ -> "?"
       in
       match Rtnet_chaos.Repro.load_any ~path with
-      | Ok (Rtnet_chaos.Repro.Plain r) ->
-        Format.printf "chaos repro %s: schema v%s, plan [%s]%s, verdict %s ok@."
-          path
-          (declared "chaos_repro_version")
-          (Rtnet_channel.Fault_plan.label r.Rtnet_chaos.Repro.re_plan)
-          (match r.Rtnet_chaos.Repro.re_params with
-          | Some _ -> ", params override"
-          | None -> "")
-          (Rtnet_analysis.Oracle.label r.Rtnet_chaos.Repro.re_verdict);
-        0
-      | Ok (Rtnet_chaos.Repro.Federated r) ->
-        Format.printf
-          "topo chaos repro %s: schema v%s, %d segment plan(s), verdict %s \
-           ok@."
-          path
-          (declared "topo_chaos_repro_version")
-          (List.length r.Rtnet_chaos.Repro.rt_plans)
-          (Rtnet_analysis.Oracle.label r.Rtnet_chaos.Repro.rt_verdict);
-        0
-      | Ok (Rtnet_chaos.Repro.Admission r) ->
-        Format.printf
-          "admit chaos repro %s: schema v%s, %d request(s), verdict %s ok@."
-          path
-          (declared "admit_chaos_repro_version")
-          (List.length r.Rtnet_chaos.Repro.ra_requests)
-          (Rtnet_analysis.Oracle.label r.Rtnet_chaos.Repro.ra_verdict);
+      | Ok (Rtnet_chaos.Repro.Any (kind, r)) ->
+        Format.printf "%s@." (describe_repro ~path ~declared kind r);
         0
       | Error e ->
         Format.eprintf "ddcr_lint: %s@." e;

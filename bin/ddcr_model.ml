@@ -32,9 +32,9 @@ module Spec = Rtnet_campaign.Spec
 module Instance = Rtnet_workload.Instance
 module Ddcr_params = Rtnet_core.Ddcr_params
 module Json = Rtnet_util.Json
-module Fault_plan = Rtnet_channel.Fault_plan
 module Oracle = Rtnet_analysis.Oracle
 module Candidate = Rtnet_chaos.Candidate
+module Plain = Rtnet_chaos.Subject.Plain
 module Repro = Rtnet_chaos.Repro
 module Transition = Rtnet_model.Transition
 module Explore = Rtnet_model.Explore
@@ -264,11 +264,11 @@ let run_export scenario size load deadline_windows horizon_ms seed params_file
     | f :: _ -> (
       print_finding ~quiet f;
       let repro, report = Witness.export src f in
-      match Repro.save ~path:out repro with
+      match Repro.save (module Plain) ~path:out repro with
       | () ->
         Format.printf
           "export: plan [%s], simulator verdict %s, written to %s@."
-          (Fault_plan.label repro.Repro.re_plan)
+          (Plain.label repro.Repro.re_cand)
           (Oracle.label report.Candidate.rp_verdict)
           out;
         0

@@ -132,7 +132,7 @@ let postmortem_out_t =
            dump the black-box flight recorders into a versioned postmortem \
            artifact at $(docv).  Nothing is written for a clean run.")
 
-(* { "<segment>": <fault plan spec>, ... } *)
+(* { "<segment>": <fault plan spec>, ... }; a null plan is no plan. *)
 let load_faults path =
   match Json.parse_file path with
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
@@ -141,6 +141,7 @@ let load_faults path =
       (fun acc (seg, pj) ->
         match acc with
         | Error _ as e -> e
+        | Ok plans when pj = Json.Null -> Ok plans
         | Ok plans -> (
           match Fault_plan.spec_of_json pj with
           | Ok sp -> Ok ((seg, sp) :: plans)

@@ -327,6 +327,9 @@ let crash_of_json j =
   Ok { cw_source = source; cw_from = from_; cw_until = until }
 
 let spec_of_json j =
+  (* Every key is optional, so a non-object would otherwise decode as
+     the empty plan. *)
+  let* _ = Json.get_obj j in
   let* garble =
     match Json.member "garble" j with
     | None | Some Json.Null -> Ok None

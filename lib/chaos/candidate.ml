@@ -1,53 +1,10 @@
-module Spec = Rtnet_campaign.Spec
-module Instance = Rtnet_workload.Instance
-module Fault_plan = Rtnet_channel.Fault_plan
 module Ddcr = Rtnet_core.Ddcr
-module Ddcr_params = Rtnet_core.Ddcr_params
-module Ddcr_trace = Rtnet_core.Ddcr_trace
 module Harness = Rtnet_mac.Harness
 module Oracle = Rtnet_analysis.Oracle
-module Topo = Rtnet_topology.Topo
-module Admit = Rtnet_topology.Admit
-module Topo_driver = Rtnet_topology.Driver
-module Decompose = Rtnet_core.Decompose
-module Run = Rtnet_stats.Run
 module Run_json = Rtnet_stats.Run_json
 module Json = Rtnet_util.Json
 
-type config = {
-  cf_scenario : Spec.scenario;
-  cf_horizon_ms : int;
-  cf_params : Ddcr_params.t option;
-}
-
-type t = {
-  cd_plan : Fault_plan.spec;
-  cd_trace_seed : int;
-  cd_fault_seed : int;
-}
-
-type topo_config = {
-  tc_segments : int;
-  tc_fanout : int;
-  tc_sources : int;
-  tc_load : float;
-  tc_deadline_windows : float;
-  tc_horizon_ms : int;
-}
-
-type topo = {
-  td_plans : (string * Fault_plan.spec) list;
-  td_trace_seed : int;
-  td_fault_seed : int;
-}
-
-type report = {
-  rp_verdict : Oracle.verdict;
-  rp_fingerprint : string;
-  rp_delivered : int;
-  rp_misses : int;
-  rp_elapsed_s : float;
-}
+type report = { rp_verdict : Oracle.verdict; rp_fingerprint : string }
 
 let fingerprint_outcome outcome =
   Digest.to_hex (Digest.string (Json.to_string (Run_json.outcome_to_json outcome)))
@@ -55,297 +12,26 @@ let fingerprint_outcome outcome =
 (* When the run dies in an exception there is no outcome to digest;
    fingerprint the verdict rendering instead — still a pure function
    of the candidate, so replay equality holds. *)
-let fingerprint_verdict v =
-  Digest.to_hex (Digest.string ("verdict:" ^ Json.to_string (Oracle.to_json v)))
+let failed v =
+  {
+    rp_verdict = v;
+    rp_fingerprint =
+      Digest.to_hex (Digest.string ("verdict:" ^ Json.to_string (Oracle.to_json v)));
+  }
 
-let run ?sink cf cd =
-  let t0 = Unix.gettimeofday () in
-  let inst = Spec.instance cf.cf_scenario in
-  let horizon = cf.cf_horizon_ms * 1_000_000 in
-  let trace = Instance.trace inst ~seed:cd.cd_trace_seed ~horizon in
-  let params =
-    match cf.cf_params with
-    | Some p -> p
-    | None -> Ddcr_params.default inst
-  in
-  let record, finish = Ddcr_trace.collector () in
-  let finish_with verdict fingerprint delivered misses =
-    {
-      rp_verdict = verdict;
-      rp_fingerprint = fingerprint;
-      rp_delivered = delivered;
-      rp_misses = misses;
-      rp_elapsed_s = Unix.gettimeofday () -. t0;
-    }
-  in
-  match
-    let plan = Fault_plan.create ~horizon ~seed:cd.cd_fault_seed cd.cd_plan in
-    Ddcr.run_trace ~check_lockstep:true ~on_event:record ~plan ?sink params
-      inst trace ~horizon
-  with
-  | outcome ->
-    let events = finish () in
-    let verdict = Oracle.classify ~workload:trace ~outcome events in
-    let m = Run.metrics outcome in
-    finish_with verdict (fingerprint_outcome outcome) m.Run.delivered
-      m.Run.deadline_misses
+(* Only [sim] is guarded: an exception raised while classifying a
+   finished run (or building its inputs) is a bug of the caller and
+   must escape, not turn into a verdict. *)
+let simulate sim classify =
+  match sim () with
+  | outcome -> classify outcome
   | exception Harness.Mismatch m ->
-    let v = Oracle.Harness_mismatch (Harness.mismatch_message m) in
-    finish_with v (fingerprint_verdict v) 0 0
+    failed (Oracle.Harness_mismatch (Harness.mismatch_message m))
   | exception Ddcr.Protocol_violation msg ->
-    let v = Oracle.Run_crash ("protocol violation: " ^ msg) in
-    finish_with v (fingerprint_verdict v) 0 0
+    failed (Oracle.Run_crash ("protocol violation: " ^ msg))
   | exception Failure msg ->
     (* The harness raises [Failure] when safety or the end-of-run
        transmission-log reconciliation breaks. *)
-    let v = Oracle.Safety_violation msg in
-    finish_with v (fingerprint_verdict v) 0 0
+    failed (Oracle.Safety_violation msg)
   | exception Assert_failure _ ->
-    let v = Oracle.Run_crash "assertion failure in the simulator" in
-    finish_with v (fingerprint_verdict v) 0 0
-
-(* -------------------- topology candidates -------------------- *)
-
-let ( let* ) = Result.bind
-
-let topo_config_to_json tc =
-  Json.Obj
-    [
-      ("segments", Json.Int tc.tc_segments);
-      ("fanout", Json.Int tc.tc_fanout);
-      ("sources", Json.Int tc.tc_sources);
-      ("load", Json.Float tc.tc_load);
-      ("deadline_windows", Json.Float tc.tc_deadline_windows);
-      ("horizon_ms", Json.Int tc.tc_horizon_ms);
-    ]
-
-let topo_config_of_json j =
-  let* segments = Result.bind (Json.field "segments" j) Json.get_int in
-  let* fanout = Result.bind (Json.field "fanout" j) Json.get_int in
-  let* sources = Result.bind (Json.field "sources" j) Json.get_int in
-  let* load = Result.bind (Json.field "load" j) Json.get_float in
-  let* deadline_windows =
-    Result.bind (Json.field "deadline_windows" j) Json.get_float
-  in
-  let* horizon_ms = Result.bind (Json.field "horizon_ms" j) Json.get_int in
-  if segments < 2 then Error "segments < 2"
-  else if fanout < 1 then Error "fanout < 1"
-  else if sources < 1 then Error "sources < 1"
-  else if horizon_ms < 1 then Error "horizon_ms < 1"
-  else
-    Ok
-      {
-        tc_segments = segments;
-        tc_fanout = fanout;
-        tc_sources = sources;
-        tc_load = load;
-        tc_deadline_windows = deadline_windows;
-        tc_horizon_ms = horizon_ms;
-      }
-
-let topo_tree tc =
-  Topo.tree ~name:"chaos" ~segments:tc.tc_segments ~fanout:tc.tc_fanout
-    ~sources:tc.tc_sources ~load:tc.tc_load
-    ~deadline_windows:tc.tc_deadline_windows ()
-
-let run_topo ?sink_for ?on_result tc td =
-  let t0 = Unix.gettimeofday () in
-  let horizon = tc.tc_horizon_ms * 1_000_000 in
-  let finish_with verdict fingerprint delivered misses =
-    {
-      rp_verdict = verdict;
-      rp_fingerprint = fingerprint;
-      rp_delivered = delivered;
-      rp_misses = misses;
-      rp_elapsed_s = Unix.gettimeofday () -. t0;
-    }
-  in
-  let crash msg =
-    let v = Oracle.Run_crash msg in
-    finish_with v (fingerprint_verdict v) 0 0
-  in
-  match Topo.with_faults (topo_tree tc) td.td_plans with
-  | Error e -> crash ("topology fault plan: " ^ e)
-  | Ok tree -> (
-    match Admit.elaborate ~policy:Decompose.Slack_weighted tree with
-    | Error e -> crash ("admission: " ^ e)
-    | Ok e -> (
-      match
-        Topo_driver.run_seeded ~check_lockstep:true ?sink_for e
-          ~seed:td.td_trace_seed ~fault_seed:td.td_fault_seed ~horizon
-      with
-      | Ok res ->
-        Option.iter (fun f -> f res) on_result;
-        let verdict = Oracle.classify_topo res in
-        (* The driver's fingerprint pins the completion schedules; the
-           verdict rendering pins the end-to-end classification — both
-           must survive replay byte-identically. *)
-        let fingerprint =
-          Digest.to_hex
-            (Digest.string
-               ("topo:" ^ res.Topo_driver.r_fingerprint ^ ":"
-              ^ Json.to_string (Oracle.to_json verdict)))
-        in
-        let m = res.Topo_driver.r_metrics in
-        finish_with verdict fingerprint m.Run.delivered m.Run.deadline_misses
-      | Error msg -> crash ("driver: " ^ msg)
-      | exception Harness.Mismatch m ->
-        let v = Oracle.Harness_mismatch (Harness.mismatch_message m) in
-        finish_with v (fingerprint_verdict v) 0 0
-      | exception Ddcr.Protocol_violation msg ->
-        let v = Oracle.Run_crash ("protocol violation: " ^ msg) in
-        finish_with v (fingerprint_verdict v) 0 0
-      | exception Failure msg ->
-        (* Safety or end-of-run reconciliation broke inside a segment's
-           harness. *)
-        let v = Oracle.Safety_violation msg in
-        finish_with v (fingerprint_verdict v) 0 0
-      | exception Assert_failure _ ->
-        let v = Oracle.Run_crash "assertion failure in the simulator" in
-        finish_with v (fingerprint_verdict v) 0 0))
-
-(* -------------------- admission candidates -------------------- *)
-
-module A_request = Rtnet_admit.Request
-module A_engine = Rtnet_admit.Engine
-module A_journal = Rtnet_admit.Journal
-module Message = Rtnet_workload.Message
-
-type admit_config = {
-  an_phy : string;
-  an_sources : int;
-  an_params : Ddcr_params.t;
-  an_horizon_ms : int;
-}
-
-type admit = {
-  ar_requests : A_request.t list;
-  ar_trace_seed : int;
-}
-
-let admit_config_to_json ac =
-  Json.Obj
-    [
-      ("phy", Json.String ac.an_phy);
-      ("sources", Json.Int ac.an_sources);
-      ("params", Ddcr_params.to_json ac.an_params);
-      ("horizon_ms", Json.Int ac.an_horizon_ms);
-    ]
-
-let admit_config_of_json j =
-  let* phy = Result.bind (Json.field "phy" j) Json.get_string in
-  let* sources = Result.bind (Json.field "sources" j) Json.get_int in
-  let* params = Result.bind (Json.field "params" j) Ddcr_params.of_json in
-  let* horizon_ms = Result.bind (Json.field "horizon_ms" j) Json.get_int in
-  if sources < 1 then Error "sources < 1"
-  else if horizon_ms < 1 then Error "horizon_ms < 1"
-  else
-    Ok
-      {
-        an_phy = phy;
-        an_sources = sources;
-        an_params = params;
-        an_horizon_ms = horizon_ms;
-      }
-
-(* The first class the run actually failed: completions that finished
-   late, then outright drops, then messages still queued though their
-   deadline fell inside the horizon — the same accounting order
-   [Run.metrics] uses for [deadline_misses]. *)
-let first_missed_flow (outcome : Run.outcome) =
-  let late =
-    List.find_map
-      (fun c ->
-        if Run.missed c then Some c.Run.c_msg.Message.cls.Message.cls_name
-        else None)
-      outcome.Run.completions
-  in
-  let due m = Message.abs_deadline m <= outcome.Run.horizon in
-  let first_due msgs =
-    List.find_map
-      (fun m -> if due m then Some m.Message.cls.Message.cls_name else None)
-      msgs
-  in
-  match late with
-  | Some f -> Some f
-  | None -> (
-    match first_due outcome.Run.dropped with
-    | Some f -> Some f
-    | None -> first_due outcome.Run.unfinished)
-
-let run_admit ?sink ac ad =
-  let t0 = Unix.gettimeofday () in
-  let finish_with verdict fingerprint delivered misses =
-    {
-      rp_verdict = verdict;
-      rp_fingerprint = fingerprint;
-      rp_delivered = delivered;
-      rp_misses = misses;
-      rp_elapsed_s = Unix.gettimeofday () -. t0;
-    }
-  in
-  let crash msg =
-    let v = Oracle.Run_crash msg in
-    finish_with v (fingerprint_verdict v) 0 0
-  in
-  match
-    let* phy = A_request.phy_of_name ac.an_phy in
-    A_engine.create ~phy ~num_sources:ac.an_sources ~params:ac.an_params
-  with
-  | Error e -> crash ("admission setup: " ^ e)
-  | Ok eng -> (
-    (* Decide the whole churn stream first; the decision lines are part
-       of the fingerprint, so replay asserts the decisions themselves,
-       not just the simulation outcome. *)
-    let lines =
-      List.mapi
-        (fun seq req ->
-          let decision = A_engine.decide eng req in
-          A_journal.record_line
-            { A_journal.jr_seq = seq; jr_request = req; jr_decision = decision })
-        ad.ar_requests
-    in
-    let decisions = String.concat "\n" lines in
-    let fingerprint_with suffix =
-      Digest.to_hex (Digest.string ("admit:" ^ decisions ^ ":" ^ suffix))
-    in
-    if A_engine.size eng = 0 then
-      (* Nothing admitted, nothing to violate. *)
-      finish_with Oracle.Pass (fingerprint_with "empty") 0 0
-    else
-      match A_engine.instance eng with
-      | Error e -> crash ("admitted set not instantiable: " ^ e)
-      | Ok inst -> (
-        let horizon = ac.an_horizon_ms * 1_000_000 in
-        let trace = Instance.trace inst ~seed:ad.ar_trace_seed ~horizon in
-        match
-          Ddcr.run_trace ~check_lockstep:true ?sink ac.an_params inst trace
-            ~horizon
-        with
-        | outcome ->
-          let m = Run.metrics outcome in
-          let verdict =
-            if m.Run.deadline_misses = 0 then Oracle.Pass
-            else
-              Oracle.Admission_violation
-                {
-                  flow =
-                    Option.value ~default:"?" (first_missed_flow outcome);
-                  misses = m.Run.deadline_misses;
-                }
-          in
-          finish_with verdict
-            (fingerprint_with (fingerprint_outcome outcome))
-            m.Run.delivered m.Run.deadline_misses
-        | exception Harness.Mismatch mm ->
-          let v = Oracle.Harness_mismatch (Harness.mismatch_message mm) in
-          finish_with v (fingerprint_verdict v) 0 0
-        | exception Ddcr.Protocol_violation msg ->
-          let v = Oracle.Run_crash ("protocol violation: " ^ msg) in
-          finish_with v (fingerprint_verdict v) 0 0
-        | exception Failure msg ->
-          let v = Oracle.Safety_violation msg in
-          finish_with v (fingerprint_verdict v) 0 0
-        | exception Assert_failure _ ->
-          let v = Oracle.Run_crash "assertion failure in the simulator" in
-          finish_with v (fingerprint_verdict v) 0 0))
+    failed (Oracle.Run_crash "assertion failure in the simulator")

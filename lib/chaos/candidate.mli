@@ -1,128 +1,29 @@
-(** One chaos candidate: a fault plan plus the seeds that make its
-    run reproducible, and the executor that turns it into a verdict.
+(** What executing one chaos candidate yields, and the one mapping
+    from simulator exceptions to oracle verdicts.
 
-    A candidate is executed exactly like a campaign cell — workload
-    trace from the scenario instance, DDCR under the instantiated
-    fault plan through {!Rtnet_mac.Harness} — then reduced to an
-    {!Rtnet_analysis.Oracle.verdict} and a {b trace fingerprint}: the
-    hex digest of the canonical JSON rendering of the run outcome.
-    Outcome JSON carries no wall-clock fields, so the fingerprint is a
-    pure function of (scenario, horizon, seeds, plan) — the equality
-    replay artifacts assert. *)
-
-type config = {
-  cf_scenario : Rtnet_campaign.Spec.scenario;
-  cf_horizon_ms : int;
-  cf_params : Rtnet_core.Ddcr_params.t option;
-      (** protocol-parameter override; [None] means
-          [Ddcr_params.default] of the scenario instance.  Model-checker
-          counterexamples seeded by a pathological configuration pin it
-          here so the repro replays against those exact parameters. *)
-}
-
-type t = {
-  cd_plan : Rtnet_channel.Fault_plan.spec;
-  cd_trace_seed : int;  (** arrival-trace stream *)
-  cd_fault_seed : int;  (** fault-plan sampler stream *)
-}
+    Every {!Subject} reduces its run to an
+    {!Rtnet_analysis.Oracle.verdict} and a {b trace fingerprint}: a
+    hex digest of canonical bytes that carry no wall-clock fields, so
+    the fingerprint is a pure function of the candidate — the
+    equality replay artifacts assert. *)
 
 type report = {
   rp_verdict : Rtnet_analysis.Oracle.verdict;
   rp_fingerprint : string;
-  rp_delivered : int;
-  rp_misses : int;  (** raw metric misses, epoch-blind — context only *)
-  rp_elapsed_s : float;
 }
 
 val fingerprint_outcome : Rtnet_stats.Run.outcome -> string
 (** Hex digest of {!Rtnet_stats.Run_json.outcome_to_json}'s canonical
     bytes. *)
 
-type topo_config = {
-  tc_segments : int;  (** tree size, [>= 2] (a 1-segment tree is flat) *)
-  tc_fanout : int;
-  tc_sources : int;  (** sources per segment *)
-  tc_load : float;  (** per-segment uniform offered load *)
-  tc_deadline_windows : float;
-  tc_horizon_ms : int;
-}
-(** The federated tree under topology chaos: the same uniform
-    [Topo.tree] shape the campaign's topo scenarios expand into,
-    described by its parameters so repro artifacts stay
-    self-contained. *)
+val failed : Rtnet_analysis.Oracle.verdict -> report
+(** A run that produced no outcome: the verdict, fingerprinted by its
+    own rendering (deterministic, so replay equality still holds). *)
 
-type topo = {
-  td_plans : (string * Rtnet_channel.Fault_plan.spec) list;
-      (** per-segment fault plans ({!Generator.sample_topo}) *)
-  td_trace_seed : int;
-  td_fault_seed : int;
-}
-(** One topology chaos candidate. *)
-
-val topo_config_to_json : topo_config -> Rtnet_util.Json.t
-val topo_config_of_json : Rtnet_util.Json.t -> (topo_config, string) result
-
-val topo_tree : topo_config -> Rtnet_topology.Topo.t
-(** The (fault-free) tree the config describes. *)
-
-val run : ?sink:Rtnet_telemetry.Sink.t -> config -> t -> report
-(** [run cf cd] executes the candidate and classifies it.  [sink]
-    attaches a telemetry/flight-recorder probe to the run (default
-    {!Rtnet_telemetry.Sink.null}).  Never
-    raises on a protocol failure: {!Rtnet_mac.Harness.Mismatch},
-    safety/reconciliation [Failure]s and protocol violations are
-    caught and mapped to the corresponding verdicts (with a
-    deterministic fingerprint derived from the verdict itself, since
-    no outcome exists).  Only truly unexpected conditions (e.g. an
-    unknown scenario kind) escape. *)
-
-type admit_config = {
-  an_phy : string;  (** medium, by {!Rtnet_admit.Request.phy_of_name} *)
-  an_sources : int;
-  an_params : Rtnet_core.Ddcr_params.t;
-      (** the parameters under test — broken-params fixtures plant the
-          accept-then-violate bug here *)
-  an_horizon_ms : int;  (** simulated span for the violation check *)
-}
-(** The admission-control environment under chaos, self-contained for
-    repro artifacts. *)
-
-type admit = {
-  ar_requests : Rtnet_admit.Request.t list;
-      (** the churn stream ({!Generator.sample_churn}) *)
-  ar_trace_seed : int;  (** arrival-trace stream for the final set *)
-}
-(** One admission chaos candidate. *)
-
-val admit_config_to_json : admit_config -> Rtnet_util.Json.t
-val admit_config_of_json : Rtnet_util.Json.t -> (admit_config, string) result
-
-val run_admit :
-  ?sink:Rtnet_telemetry.Sink.t -> admit_config -> admit -> report
-(** [run_admit ac ad] executes an admission candidate: drive the whole
-    churn stream through a fresh {!Rtnet_admit.Engine}, then simulate
-    the finally-admitted set (periodic arrivals, pinned trace seed)
-    over the horizon.  A deadline miss in a set the engine accepted as
-    feasible is the accept-then-violate bug:
-    {!Rtnet_analysis.Oracle.Admission_violation} naming the first
-    missing flow.  An empty final set passes trivially.  The
-    fingerprint digests the decision log lines {e and} the outcome, so
-    replay asserts the decisions themselves.  Protocol failures map to
-    verdicts exactly as in {!run}. *)
-
-val run_topo :
-  ?sink_for:(index:int -> segment:string -> Rtnet_telemetry.Sink.t) ->
-  ?on_result:(Rtnet_topology.Driver.result -> unit) ->
-  topo_config ->
-  topo ->
-  report
-(** [run_topo tc td] executes a topology candidate: build the tree,
-    attach the per-segment plans ({!Rtnet_topology.Topo.with_faults}),
-    admit slack-weighted, run the federated driver with the pinned
-    seeds, and classify end-to-end with
-    {!Rtnet_analysis.Oracle.classify_topo} — [Bridge_overflow],
-    [Handoff_loss] and [Chain_deadline_miss] are the accept-then-violate
-    verdicts the topology search hunts.  The fingerprint digests the
-    driver's completion-schedule fingerprint together with the verdict
-    rendering.  Driver configuration errors and protocol failures are
-    mapped to verdicts exactly as in {!run}. *)
+val simulate : (unit -> 'a) -> ('a -> report) -> report
+(** [simulate sim classify] runs [sim] and hands its result to
+    [classify].  A protocol failure inside [sim] becomes a {!failed}
+    report instead of escaping: {!Rtnet_mac.Harness.Mismatch} →
+    [Harness_mismatch], [Ddcr.Protocol_violation] and [Assert_failure]
+    → [Run_crash], a safety/reconciliation [Failure] →
+    [Safety_violation].  Exceptions raised by [classify] escape. *)

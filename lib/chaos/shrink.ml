@@ -1,11 +1,6 @@
-module Fault_plan = Rtnet_channel.Fault_plan
 module Oracle = Rtnet_analysis.Oracle
 
-type result = {
-  sh_plan : Fault_plan.spec;
-  sh_verdict : Oracle.verdict;
-  sh_checks : int;
-}
+type 'c result = { sh_cand : 'c; sh_verdict : Oracle.verdict; sh_checks : int }
 
 (* Split [l] into [n] chunks of near-equal length. *)
 let chunks n l =
@@ -50,145 +45,16 @@ let ddmin check atoms =
   in
   go atoms 2
 
-(* Replace crash window number [i] (in sp_crashes order) with [w]. *)
-let with_crash sp i w =
-  {
-    sp with
-    Fault_plan.sp_crashes =
-      List.mapi (fun j w0 -> if j = i then w else w0) sp.Fault_plan.sp_crashes;
-  }
-
-let narrow_windows check sp =
-  let sp = ref sp in
-  List.iteri
-    (fun i _ ->
-      let continue = ref true in
-      while !continue do
-        let w = List.nth !sp.Fault_plan.sp_crashes i in
-        match Fault_plan.split_crash w with
-        | None -> continue := false
-        | Some (left, right) ->
-          if check (with_crash !sp i left) then sp := with_crash !sp i left
-          else if check (with_crash !sp i right) then
-            sp := with_crash !sp i right
-          else continue := false
-      done)
-    !sp.Fault_plan.sp_crashes;
-  !sp
-
-let weaken_severities check sp =
-  let sp = ref sp in
-  let continue = ref true in
-  (* Halve at most 6 times: below ~1.5% of the original rates further
-     weakening cannot change which slots get hit on a short horizon. *)
-  let budget = ref 6 in
-  while !continue && !budget > 0 do
-    let weaker = Fault_plan.scale_severity !sp 0.5 in
-    if weaker <> !sp && check weaker then begin
-      sp := weaker;
-      decr budget
-    end
-    else continue := false
-  done;
-  !sp
-
-let run ~oracle ~target plan =
+let run (type e c) ((module S) : (e, c) Subject.t) ~oracle ~target (cand : c) =
   let checks = ref 0 in
-  let check sp =
-    (not (Fault_plan.is_empty sp))
-    &&
-    (incr checks;
-     Oracle.same_class (oracle sp) target)
+  let check c =
+    incr checks;
+    Oracle.same_class (oracle c) target
   in
-  if not (check plan) then
-    { sh_plan = plan; sh_verdict = oracle plan; sh_checks = !checks }
-  else begin
-    let atoms = ddmin (fun l -> check (Fault_plan.merge l)) (Fault_plan.atoms plan) in
-    let sp = Fault_plan.merge atoms in
-    let sp = narrow_windows check sp in
-    let sp = weaken_severities check sp in
-    { sh_plan = sp; sh_verdict = oracle sp; sh_checks = !checks }
-  end
-
-(* -------------------- topology plans -------------------- *)
-
-type topo_result = {
-  st_plans : (string * Fault_plan.spec) list;
-  st_verdict : Oracle.verdict;
-  st_checks : int;
-}
-
-let run_topo ~oracle ~target plans =
-  let checks = ref 0 in
-  (* ddmin works over (segment, atom) pairs; rebuilding preserves the
-     original segment order so the minimized plan set composes onto
-     the topology deterministically. *)
-  let order = List.map fst plans in
-  let rebuild pairs =
-    List.filter_map
-      (fun seg ->
-        match
-          List.filter_map (fun (s, a) -> if s = seg then Some a else None) pairs
-        with
-        | [] -> None
-        | atoms -> Some (seg, Fault_plan.merge atoms))
-      order
-  in
-  let check_pairs pairs =
-    pairs <> []
-    && (incr checks;
-        Oracle.same_class (oracle (rebuild pairs)) target)
-  in
-  let all_pairs =
-    List.concat_map
-      (fun (seg, sp) -> List.map (fun a -> (seg, a)) (Fault_plan.atoms sp))
-      plans
-  in
-  if not (check_pairs all_pairs) then
-    { st_plans = plans; st_verdict = oracle plans; st_checks = !checks }
-  else begin
-    let pairs = ddmin check_pairs all_pairs in
-    let cur = ref (rebuild pairs) in
-    let with_seg seg sp =
-      List.map (fun (s, sp0) -> if s = seg then (s, sp) else (s, sp0)) !cur
-    in
-    (* Per-segment window narrowing and severity weakening, each
-       candidate mutation re-checked against the whole plan set. *)
-    List.iter
-      (fun (seg, _) ->
-        let check_sp sp' =
-          (not (Fault_plan.is_empty sp'))
-          && (incr checks;
-              Oracle.same_class (oracle (with_seg seg sp')) target)
-        in
-        let sp' = narrow_windows check_sp (List.assoc seg !cur) in
-        let sp' = weaken_severities check_sp sp' in
-        cur := with_seg seg sp')
-      !cur;
-    { st_plans = !cur; st_verdict = oracle !cur; st_checks = !checks }
-  end
-
-(* -------------------- admission churn -------------------- *)
-
-type admit_result = {
-  sa_requests : Rtnet_admit.Request.t list;
-  sa_verdict : Oracle.verdict;
-  sa_checks : int;
-}
-
-(* Request streams shrink by ddmin alone: requests are the atoms, and
-   order is preserved (ddmin only ever removes), so the minimized
-   stream is a subsequence of the original — any decision it elicits
-   the original also explains. *)
-let run_admit ~oracle ~target requests =
-  let checks = ref 0 in
-  let check reqs =
-    reqs <> []
-    && (incr checks;
-        Oracle.same_class (oracle reqs) target)
-  in
-  if not (check requests) then
-    { sa_requests = requests; sa_verdict = oracle requests; sa_checks = !checks }
+  let check_atoms l = l <> [] && check (S.of_atoms cand l) in
+  if not (S.atoms cand <> [] && check cand) then
+    { sh_cand = cand; sh_verdict = oracle cand; sh_checks = !checks }
   else
-    let reqs = ddmin check requests in
-    { sa_requests = reqs; sa_verdict = oracle reqs; sa_checks = !checks }
+    let c = S.of_atoms cand (ddmin check_atoms (S.atoms cand)) in
+    let c = S.refine check c in
+    { sh_cand = c; sh_verdict = oracle c; sh_checks = !checks }

@@ -1,8 +1,8 @@
 module Prng = Rtnet_util.Prng
 module Oracle = Rtnet_analysis.Oracle
 
-type config = {
-  so_search : Search.config;
+type ('e, 's) config = {
+  so_search : ('e, 's) Search.config;
   so_rounds : int;
   so_wall_budget_s : float option;
   so_out_dir : string option;
@@ -17,8 +17,13 @@ type result = {
   so_exhausted : bool;
 }
 
-let run ?(log = fun (_ : string) -> ()) config =
+let run (type e c s) ?(log = fun (_ : string) -> ())
+    (module S : Subject.S
+      with type env = e
+       and type cand = c
+       and type sampler = s) (config : (e, s) config) =
   let t0 = Unix.gettimeofday () in
+  let search = config.so_search in
   let seen = Hashtbl.create 32 in
   let paths = ref [] in
   let examined = ref 0 in
@@ -37,18 +42,19 @@ let run ?(log = fun (_ : string) -> ()) config =
          exhausted := true;
          raise Exit
        | _ -> ());
-       let round_config =
+       let pool = search.Search.s_pool in
+       let round_pool =
          {
-           config.so_search with
-           Search.s_seed = Prng.derive config.so_search.Search.s_seed r;
-           s_wall_budget_s =
+           pool with
+           Search.p_seed = Prng.derive pool.Search.p_seed r;
+           p_wall_budget_s =
              (match remaining () with
-             | None -> config.so_search.Search.s_wall_budget_s
+             | None -> pool.Search.p_wall_budget_s
              | Some left -> Some left);
          }
        in
        log (Printf.sprintf "soak round %d/%d" (r + 1) config.so_rounds);
-       let res = Search.run ~log round_config in
+       let res = Search.run ~log (module S) { search with Search.s_pool = round_pool } in
        incr rounds_run;
        examined := !examined + res.Search.r_examined;
        gave_up := !gave_up + List.length res.Search.r_gave_up;
@@ -66,18 +72,18 @@ let run ?(log = fun (_ : string) -> ()) config =
              | None -> ()
              | Some dir ->
                let repro =
-                 Repro.make ~config:config.so_search.Search.s_candidate
-                   ~candidate:f.Search.fi_candidate
+                 Repro.make ~env:search.Search.s_env ~cand:f.Search.fi_candidate
                    ~report:f.Search.fi_report
                    ~note:
-                     (Printf.sprintf "soak round=%d seed=%d candidate=%d" r
-                        round_config.Search.s_seed f.Search.fi_index)
+                     (Printf.sprintf "%ssoak round=%d seed=%d candidate=%d"
+                        S.prefix r round_pool.Search.p_seed f.Search.fi_index)
                in
                let path =
                  Filename.concat dir
-                   (Printf.sprintf "chaos_repro_%s.json" (String.sub fp 0 12))
+                   (Printf.sprintf "%schaos_repro_%s.json" (Subject.slug S.prefix)
+                      (String.sub fp 0 12))
                in
-               Repro.save ~path repro;
+               Repro.save (module S) ~path repro;
                paths := path :: !paths
            end)
          res.Search.r_findings

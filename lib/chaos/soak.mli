@@ -1,17 +1,20 @@
-(** Long-running soak: repeated chaos searches under one wall-clock
-    budget, accumulating de-duplicated findings as replay artifacts.
+(** Long-running soak: repeated chaos searches of one {!Subject} under
+    one wall-clock budget, accumulating de-duplicated findings as
+    replay artifacts.
 
     Each round re-runs the configured search with a fresh derived
-    seed (round [r] uses [Prng.derive seed r]), so rounds explore
+    seed (round [r] uses [Prng.derive p_seed r]), so rounds explore
     disjoint candidate populations.  Findings are de-duplicated by
     trace fingerprint across rounds; each new one is frozen with
-    {!Repro.save} into the output directory (when given).  The soak
+    {!Repro.save} into the output directory (when given) as
+    [<prefix>chaos_repro_<fingerprint[0..12]>.json].  The soak
     inherits the search's graceful degradation: an exhausted wall
     budget ends the current round early, reports what was gathered
-    and stops — it never crashes. *)
+    and stops — it never crashes.  Writing an artifact raises
+    [Sys_error] when the output directory is not writable. *)
 
-type config = {
-  so_search : Search.config;  (** per-round search configuration *)
+type ('e, 's) config = {
+  so_search : ('e, 's) Search.config;  (** per-round search *)
   so_rounds : int;  (** maximum rounds *)
   so_wall_budget_s : float option;
       (** total budget across rounds; overrides the per-round budget
@@ -28,4 +31,11 @@ type result = {
   so_exhausted : bool;  (** stopped by the wall budget *)
 }
 
-val run : ?log:(string -> unit) -> config -> result
+val run :
+  ?log:(string -> unit) ->
+  (module Subject.S
+     with type env = 'e
+      and type cand = 'c
+      and type sampler = 's) ->
+  ('e, 's) config ->
+  result

@@ -470,7 +470,7 @@ let of_json j =
         let* seg = segment_of_workload ~name:sname wk in
         let* fault =
           match Json.member "fault_plan" sj with
-          | None -> Ok None
+          | None | Some Json.Null -> Ok None
           | Some fj -> (
             match Fault_plan.spec_of_json fj with
             | Ok sp -> Ok (Some sp)

@@ -13,6 +13,8 @@ module Diagnostic = Rtnet_analysis.Diagnostic
 module Oracle = Rtnet_analysis.Oracle
 module Generator = Rtnet_chaos.Generator
 module Candidate = Rtnet_chaos.Candidate
+module Subject = Rtnet_chaos.Subject
+module Admit = Subject.Admit
 module Shrink = Rtnet_chaos.Shrink
 module Repro = Rtnet_chaos.Repro
 module Ddcr_params = Rtnet_core.Ddcr_params
@@ -488,7 +490,7 @@ let test_sample_churn_deterministic () =
 
 let admit_config =
   {
-    Candidate.an_phy = "gigabit-ethernet";
+    Admit.an_phy = "gigabit-ethernet";
     an_sources = 2;
     an_params = broken_params;
     an_horizon_ms = 10;
@@ -499,73 +501,68 @@ let violating_candidate () =
      under the horizon-starved parameters (asserted below, and frozen
      into fixtures/admit_chaos_repro_min.json). *)
   {
-    Candidate.ar_requests = churn 64 ~seed:7 ~pool:8;
+    Admit.ar_requests = churn 64 ~seed:7 ~pool:8;
     ar_trace_seed = Rtnet_util.Prng.derive (Rtnet_util.Prng.derive 7 1) 0;
   }
 
 let test_run_admit_violation () =
-  let report = Candidate.run_admit admit_config (violating_candidate ()) in
+  let report = Admit.run admit_config (violating_candidate ()) in
   (match report.Candidate.rp_verdict with
   | Oracle.Admission_violation { misses; _ } ->
     Alcotest.(check bool) "misses counted" true (misses > 0)
   | v -> Alcotest.failf "expected admission violation, got %s" (Oracle.label v));
-  let again = Candidate.run_admit admit_config (violating_candidate ()) in
+  let again = Admit.run admit_config (violating_candidate ()) in
   Alcotest.(check string)
     "fingerprint stable" report.Candidate.rp_fingerprint
     again.Candidate.rp_fingerprint
 
 let test_run_admit_good_params_pass () =
-  let config = { admit_config with Candidate.an_params = good_params ~sources:2 } in
-  let report = Candidate.run_admit config (violating_candidate ()) in
+  let config = { admit_config with Admit.an_params = good_params ~sources:2 } in
+  let report = Admit.run config (violating_candidate ()) in
   Alcotest.(check string)
     "sound params pass" "pass"
     (Oracle.label report.Candidate.rp_verdict)
 
 let test_shrink_preserves_class () =
   let cd = violating_candidate () in
-  let target = (Candidate.run_admit admit_config cd).Candidate.rp_verdict in
-  let oracle reqs =
-    (Candidate.run_admit admit_config { cd with Candidate.ar_requests = reqs })
-      .Candidate.rp_verdict
-  in
-  let res = Shrink.run_admit ~oracle ~target cd.Candidate.ar_requests in
+  let target = (Admit.run admit_config cd).Candidate.rp_verdict in
+  let oracle cand = (Admit.run admit_config cand).Candidate.rp_verdict in
+  let res = Shrink.run (module Admit) ~oracle ~target cd in
   Alcotest.(check bool)
     "verdict class preserved" true
-    (Oracle.same_class res.Shrink.sa_verdict target);
+    (Oracle.same_class res.Shrink.sh_verdict target);
   Alcotest.(check bool)
     "no longer than original" true
-    (List.length res.Shrink.sa_requests
-    <= List.length cd.Candidate.ar_requests);
-  Alcotest.(check bool) "did some checks" true (res.Shrink.sa_checks > 0)
+    (List.length res.Shrink.sh_cand.Admit.ar_requests
+    <= List.length cd.Admit.ar_requests);
+  Alcotest.(check bool) "did some checks" true (res.Shrink.sh_checks > 0)
 
 let test_repro_roundtrip () =
   let cd = violating_candidate () in
-  let report = Candidate.run_admit admit_config cd in
-  let repro =
-    Repro.make_admission ~config:admit_config ~candidate:cd ~report
-      ~note:"unit test"
+  let report = Admit.run admit_config cd in
+  let repro = Repro.make ~env:admit_config ~cand:cd ~report ~note:"unit test" in
+  let decoded =
+    ok_exn (Repro.of_json (module Admit) (Repro.to_json (module Admit) repro))
   in
-  let decoded = ok_exn (Repro.admission_of_json (Repro.admission_to_json repro)) in
   Alcotest.(check bool) "roundtrip" true (decoded = repro);
-  let replay = Repro.replay_admission repro in
+  let replay = Repro.replay (module Admit) repro in
   Alcotest.(check bool) "verdict reproduces" true replay.Repro.rr_verdict_ok;
   Alcotest.(check bool)
     "fingerprint reproduces" true replay.Repro.rr_fingerprint_ok;
   (* Tampering with the verdict must be caught by replay. *)
-  let tampered = { repro with Repro.ra_verdict = Oracle.Pass } in
+  let tampered = { repro with Repro.re_verdict = Oracle.Pass } in
   Alcotest.(check bool)
     "tampered verdict drifts" false
-    (Repro.replay_admission tampered).Repro.rr_verdict_ok
+    (Repro.replay (module Admit) tampered).Repro.rr_verdict_ok
 
 let test_repro_load_any_dispatch () =
   let path = Filename.temp_file "admit_repro" ".json" in
   let cd = violating_candidate () in
-  let report = Candidate.run_admit admit_config cd in
-  Repro.save_admission ~path
-    (Repro.make_admission ~config:admit_config ~candidate:cd ~report
-       ~note:"dispatch test");
+  let report = Admit.run admit_config cd in
+  Repro.save (module Admit) ~path
+    (Repro.make ~env:admit_config ~cand:cd ~report ~note:"dispatch test");
   (match Repro.load_any ~path with
-  | Ok (Repro.Admission _) -> ()
+  | Ok (Repro.Any (Subject.Admit, _)) -> ()
   | Ok _ -> Alcotest.fail "dispatched to the wrong artifact kind"
   | Error e -> Alcotest.fail e);
   Sys.remove path

@@ -560,6 +560,36 @@ let uniform_segment name =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
+(* A segment's "fault_plan": null reads as no plan, as in campaign
+   specs; any other non-object is a decode error. *)
+let test_json_fault_plan_null () =
+  let module Json = Rtnet_util.Json in
+  let json =
+    match Topo.to_json tree3 with Ok j -> j | Error e -> Alcotest.fail e
+  in
+  let with_seg0_plan v =
+    match json with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "segments", Json.List (Json.Obj seg :: rest) ->
+               ("segments", Json.List (Json.Obj (seg @ [ ("fault_plan", v) ]) :: rest))
+             | kv -> kv)
+           fields)
+    | _ -> Alcotest.fail "topology JSON is not an object"
+  in
+  (match Topo.of_json (with_seg0_plan Json.Null) with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+    Alcotest.(check bool) "null plan is no plan" true
+      (List.for_all (fun sg -> sg.Topo.sg_fault = None) t.Topo.tp_segments));
+  match Topo.of_json (with_seg0_plan (Json.Int 3)) with
+  | Ok _ -> Alcotest.fail "non-object fault_plan accepted"
+  | Error e ->
+    Alcotest.(check bool) "error names the field" true
+      (Astring_contains.contains e "fault_plan")
+
 let test_bridge_check_edge_cases () =
   (* A bridge no flow crosses is trivially feasible, even with zero
      store-and-forward latency. *)
@@ -897,5 +927,7 @@ let suite =
           test_lint_flags_bad_fault_plan;
         Alcotest.test_case "lint warns unabsorbable outage" `Quick
           test_lint_warns_unabsorbable_outage;
+        Alcotest.test_case "json null fault plan" `Quick
+          test_json_fault_plan_null;
       ] );
   ]
