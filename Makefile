@@ -137,7 +137,10 @@ admit-smoke: build
 
 # Benchmark gate: each perfbench workload runs for 2 s at the default
 # seed (so its output digest is checked) with the per-layer trace on,
-# and must print a result line reporting "correct": true.
+# and must print a result line reporting "correct": true.  On sim_dense
+# the post-run scoreboard (stats.metrics_s) must also cost no more than
+# the simulation it scores (ddcr.run_s): a within-run ratio, so it
+# holds on a slow or noisy host.
 bench-smoke:
 	@for w in sim_dense sim_wide sim_faulted admit_churn; do \
 	  out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 \
@@ -147,6 +150,16 @@ bench-smoke:
 	    *'"correct": true'* | *'"correct":true'*) echo "bench-smoke: $$w ok" ;; \
 	    *) echo "bench-smoke: $$w incorrect: $$line"; exit 1 ;; \
 	  esac; \
+	  if [ $$w = sim_dense ]; then \
+	    metric() { printf '%s\n' "$$line" | sed -n \
+	      "s/.*\"$$1\": *{ *\"value\": *\([-+.0-9eE]*\).*/\1/p"; }; \
+	    score=$$(metric 'stats\.metrics_s'); sim=$$(metric 'ddcr\.run_s'); \
+	    awk -v score="$$score" -v sim="$$sim" \
+	      'BEGIN { exit !(score != "" && sim != "" && score + 0 <= sim + 0) }' \
+	      || { echo "bench-smoke: sim_dense scoreboard $${score:-?} s" \
+	             "exceeds simulation $${sim:-?} s"; exit 1; }; \
+	    echo "bench-smoke: sim_dense scoreboard $$score s <= simulation $$sim s"; \
+	  fi; \
 	done
 
 # Refresh the committed campaign baselines after an intentional

@@ -49,18 +49,91 @@ type metrics = {
   missed_offline : int;
 }
 
+(* Fenwick tree over dense deadline ranks 1..n, stored in [bit.(1..n)]. *)
+let rec fenwick_add bit i delta =
+  if i < Array.length bit then begin
+    bit.(i) <- bit.(i) + delta;
+    fenwick_add bit (i + (i land -i)) delta
+  end
+
+let rec fenwick_prefix bit i acc =
+  if i = 0 then acc else fenwick_prefix bit (i - (i land -i)) (acc + bit.(i))
+
+(* Merge the runs [perm.(lo..mid-1)] and [perm.(mid..hi-1)], each sorted
+   by [key], through [buf.(lo..hi-1)]. *)
+let merge_by key perm buf lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !j >= hi || (!i < mid && key.(perm.(!i)) <= key.(perm.(!j))) then begin
+      buf.(k) <- perm.(!i);
+      incr i
+    end
+    else begin
+      buf.(k) <- perm.(!j);
+      incr j
+    end
+  done;
+  Array.blit buf lo perm lo (hi - lo)
+
+(* Divide and conquer over list positions, bottom-up.  With runs of
+   width [w], every pair (i, j), i in a left run and j in the next
+   (right) run, is counted once: sweep the left run by start, admit
+   the right run's members in arrival order while [arrival_j <=
+   start_i], and count the admitted ones with a lower deadline rank in
+   the Fenwick tree.  Both runs are then merged in both orders, so the
+   next width finds its runs sorted.  The tree is all-zero between
+   sweeps, so the merges borrow it as their buffer and clear it. *)
 let inversions cs =
-  let arr = Array.of_list cs in
-  let n = Array.length arr in
+  let n = List.length cs in
+  let start = Array.make n 0
+  and arrival = Array.make n 0
+  and rank = Array.make n 0 in
+  List.iteri
+    (fun i c ->
+      start.(i) <- c.c_start;
+      arrival.(i) <- c.c_msg.Message.arrival;
+      rank.(i) <- Message.abs_deadline c.c_msg)
+    cs;
+  let by_start = Array.init n Fun.id in
+  Array.sort (fun a b -> Int.compare rank.(a) rank.(b)) by_start;
+  let r = ref 0 and prev = ref 0 in
+  Array.iteri
+    (fun k i ->
+      let deadline = rank.(i) in
+      if k = 0 || deadline <> !prev then incr r;
+      prev := deadline;
+      rank.(i) <- !r)
+    by_start;
+  for k = 0 to n - 1 do
+    by_start.(k) <- k
+  done;
+  let by_arrival = Array.copy by_start in
+  let bit = Array.make (n + 1) 0 in
   let count = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let a = arr.(i) and b = arr.(j) in
-      if
-        b.c_msg.Message.arrival <= a.c_start
-        && Message.abs_deadline a.c_msg > Message.abs_deadline b.c_msg
-      then incr count
-    done
+  let w = ref 1 in
+  while !w < n do
+    let lo = ref 0 in
+    while !lo + !w < n do
+      let mid = !lo + !w in
+      let hi = min n (mid + !w) in
+      let q = ref mid in
+      for k = !lo to mid - 1 do
+        let i = by_start.(k) in
+        while !q < hi && arrival.(by_arrival.(!q)) <= start.(i) do
+          fenwick_add bit rank.(by_arrival.(!q)) 1;
+          incr q
+        done;
+        count := fenwick_prefix bit (rank.(i) - 1) !count
+      done;
+      for k = mid to !q - 1 do
+        fenwick_add bit rank.(by_arrival.(k)) (-1)
+      done;
+      merge_by start by_start bit !lo mid hi;
+      merge_by arrival by_arrival bit !lo mid hi;
+      Array.fill bit !lo (hi - !lo) 0;
+      lo := hi
+    done;
+    w := 2 * !w
   done;
   !count
 

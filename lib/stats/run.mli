@@ -82,11 +82,15 @@ type metrics = {
 }
 
 val inversions : completion list -> int
-(** [inversions cs] counts pairs [(a, b)] where [a] started
-    transmission while [b] was already pending ([T(b) <= c_start a])
-    yet [DM(a) > DM(b)] and [b] completed after [a] — the
-    deadline-inversion count that CSMA/DDCR's deadline equivalence
-    classes are designed to keep small. *)
+(** [inversions cs] counts pairs [(a, b)] where [a] comes before [b]
+    in the {e list} [cs], [a] started transmission while [b] was
+    already pending ([T(b) <= c_start a], so an arrival at the very
+    bit-time [a] starts counts) yet [DM(a) > DM(b)] strictly (equal
+    deadlines never invert) — the deadline-inversion count that
+    CSMA/DDCR's deadline equivalence classes are designed to keep
+    small.  List order is completion order for a single medium; starts
+    need not rise along the list (a {!merge} can interleave them).
+    Costs O(n log² n) time and O(n) words for [n] completions. *)
 
 val metrics : outcome -> metrics
 (** [metrics o] computes the scoreboard for one run. *)

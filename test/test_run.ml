@@ -148,6 +148,118 @@ let test_outcome_json_shape () =
     (List.length (Result.get_ok (Json.get_list (get "unfinished"))));
   Alcotest.(check bool) "metrics embedded" true (Json.member "metrics" j <> None)
 
+(* -------------- inversions: fast count vs the quadratic reference -------------- *)
+
+(* The definition of Run.inversions as a pair scan in list order: the
+   reference the fast count must agree with. *)
+let reference_inversions cs =
+  let arr = Array.of_list cs in
+  let n = Array.length arr in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let a = arr.(i) and b = arr.(j) in
+      if
+        b.Run.c_msg.Message.arrival <= a.Run.c_start
+        && Message.abs_deadline a.Run.c_msg > Message.abs_deadline b.Run.c_msg
+      then incr count
+    done
+  done;
+  !count
+
+(* On real outcomes, which must have some inversions to be a test. *)
+let check_against_reference label cs =
+  let expected = reference_inversions cs in
+  Alcotest.(check bool) (label ^ " has inversions") true (expected > 0);
+  Alcotest.(check int) label expected (Run.inversions cs)
+
+(* Small ranges make equal arrivals, arrival = start and equal
+   deadlines frequent; starts and finishes are unrelated to list order. *)
+let gen_completions =
+  QCheck.Gen.(
+    map
+      (List.mapi (fun uid (arrival, deadline, start, finish) ->
+           completion uid arrival deadline start finish))
+      (list_size (int_range 0 200)
+         (quad (int_range 0 15) (int_range 0 6) (int_range 0 15)
+            (int_range 0 15))))
+
+let print_completions cs =
+  String.concat "; "
+    (List.map
+       (fun c ->
+         Printf.sprintf "(T=%d DM=%d s=%d f=%d)" c.Run.c_msg.Message.arrival
+           (Message.abs_deadline c.Run.c_msg) c.Run.c_start c.Run.c_finish)
+       cs)
+
+let prop_inversions_match_reference =
+  QCheck.Test.make ~name:"inversions agree with the pair scan" ~count:1000
+    (QCheck.make ~print:print_completions gen_completions)
+    (fun cs -> Run.inversions cs = reference_inversions cs)
+
+let prop_merged_inversions_match_reference =
+  QCheck.Test.make ~name:"inversions of a merge agree with the pair scan"
+    ~count:300
+    (QCheck.make
+       ~print:(fun css -> String.concat " | " (List.map print_completions css))
+       QCheck.Gen.(int_range 2 3 >>= fun k -> list_repeat k gen_completions))
+    (fun css ->
+      let merged =
+        Run.merge ~protocol:"m" ~horizon:100 (List.map (fun cs -> outcome cs) css)
+      in
+      Run.inversions merged.Run.completions
+      = reference_inversions merged.Run.completions)
+
+let test_inversions_dense_trace () =
+  let module Scenarios = Rtnet_workload.Scenarios in
+  let module Instance = Rtnet_workload.Instance in
+  let module Arrival = Rtnet_workload.Arrival in
+  let module Ddcr = Rtnet_core.Ddcr in
+  let inst =
+    Instance.with_law
+      (Scenarios.uniform ~sources:16 ~classes_per_source:1 ~load:0.7
+         ~deadline_windows:4.)
+      (Arrival.Sporadic { mean_slack = 0.1 })
+  in
+  let horizon = 50_000_000 in
+  let trace = Instance.trace inst ~seed:1 ~horizon in
+  let o =
+    Ddcr.run_trace (Rtnet_core.Ddcr_params.default inst) inst trace ~horizon
+  in
+  check_against_reference "dense run_trace" o.Run.completions
+
+let test_inversions_topology_merge () =
+  let module Topo = Rtnet_topology.Topo in
+  let module Admit = Rtnet_topology.Admit in
+  let module Driver = Rtnet_topology.Driver in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let e = ok (Admit.elaborate (ok (Topo.load_file "fixtures/topo_good.json"))) in
+  let res = ok (Driver.run_seeded e ~seed:1 ~horizon:50_000_000) in
+  let cs = res.Driver.r_outcome.Run.completions in
+  check_against_reference "merged topology outcome" cs
+
+(* Closed forms at n = 2e5, where the pair scan would make 2e10
+   comparisons.  All arrivals 0 and deadlines falling along the list: every
+   pair is an inversion.  Blocks of [b] equal deadlines, falling from
+   block to block, each block arriving exactly when the previous one
+   starts: only adjacent blocks invert, and only through the equality
+   [arrival = start]. *)
+let test_inversions_closed_forms () =
+  let n = 200_000 in
+  Alcotest.(check int) "decreasing deadlines: n(n-1)/2"
+    (n * (n - 1) / 2)
+    (Run.inversions (List.init n (fun i -> completion i 0 (n - i) 0 1)));
+  let b = 1_000 in
+  let blocks = n / b in
+  let block_member i =
+    let t = i / b in
+    let arrival = 10 * max 0 (t - 1) in
+    completion i arrival (1_000_000 - t - arrival) (10 * t) (10 * t)
+  in
+  Alcotest.(check int) "blocks: (blocks-1) b^2"
+    ((blocks - 1) * b * b)
+    (Run.inversions (List.init n block_member))
+
 let suite =
   [
     ( "run",
@@ -163,5 +275,13 @@ let suite =
         Alcotest.test_case "metrics json round-trip" `Quick
           test_metrics_json_roundtrip;
         Alcotest.test_case "outcome json shape" `Quick test_outcome_json_shape;
+        QCheck_alcotest.to_alcotest prop_inversions_match_reference;
+        QCheck_alcotest.to_alcotest prop_merged_inversions_match_reference;
+        Alcotest.test_case "inversions on a dense trace" `Quick
+          test_inversions_dense_trace;
+        Alcotest.test_case "inversions on a topology merge" `Slow
+          test_inversions_topology_merge;
+        Alcotest.test_case "inversions closed forms at scale" `Quick
+          test_inversions_closed_forms;
       ] );
   ]
