@@ -61,8 +61,9 @@ chaos-smoke: build
 # Explicit-state model-checking gate: exhaustively verify the small
 # uniform instance clean, re-find the committed broken-ξ
 # counterexample (exit 1 asserted), regenerate its replay artifact
-# byte-for-byte, replay it through ddcr_chaos, and lint-check the v2
-# artifact plus a torn copy (exit 2 asserted).
+# byte-for-byte, replay it through ddcr_chaos, lint-check the v2
+# artifact plus a torn copy (exit 2 asserted), and diff the state and
+# transition counts against the committed expected outputs.
 model-smoke: build
 	dune build @model-smoke
 

@@ -9,15 +9,24 @@ let scenario_doc =
 (* One source of truth for scenario naming: the campaign spec's
    scenario decoder, so `ddcr_sim -s trading -n 4` and a campaign cell
    build byte-identical instances. *)
+let scenario_of ~scenario ~size ~load ~deadline_windows =
+  {
+    Rtnet_campaign.Spec.sc_kind = scenario;
+    sc_size = size;
+    sc_load = load;
+    sc_deadline_windows = deadline_windows;
+    sc_fanout = 1;
+  }
+
+(* [Error message] for an unknown scenario or out-of-range sizes; each
+   tool prints it and exits 2. *)
 let instance_of ~scenario ~size ~load ~deadline_windows =
-  Rtnet_campaign.Spec.instance
-    {
-      Rtnet_campaign.Spec.sc_kind = scenario;
-      sc_size = size;
-      sc_load = load;
-      sc_deadline_windows = deadline_windows;
-      sc_fanout = 1;
-    }
+  match
+    Rtnet_campaign.Spec.instance
+      (scenario_of ~scenario ~size ~load ~deadline_windows)
+  with
+  | inst -> Ok inst
+  | exception (Failure e | Invalid_argument e) -> Error e
 
 let scenario =
   Arg.(

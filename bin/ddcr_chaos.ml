@@ -31,7 +31,6 @@
      ddcr_chaos replay test/fixtures/chaos_repro_min.json
      ddcr_chaos soak -s trading -n 3 --rounds 8 --wall-budget 60 --out-dir repros *)
 
-module Spec = Rtnet_campaign.Spec
 module Oracle = Rtnet_analysis.Oracle
 module Generator = Rtnet_chaos.Generator
 module Candidate = Rtnet_chaos.Candidate
@@ -268,23 +267,21 @@ let target config_file scenario size load deadline_windows horizon_ms seed
                }
                { Admit.ad_pool = admit_pool; ad_requests = admit_requests } )))
   | None, false, None ->
-    Ok
-      (Target
-         ( (module Plain),
-           config
-             {
-               Plain.cf_scenario =
-                 {
-                   Spec.sc_kind = scenario;
-                   sc_size = size;
-                   sc_load = load;
-                   sc_deadline_windows = deadline_windows;
-                   sc_fanout = 1;
-                 };
-               cf_horizon_ms = horizon_ms;
-               cf_params = None;
-             }
-             budget ))
+    (* Build the instance once up front, so a bad scenario is a usage
+       error rather than a failure inside every candidate. *)
+    Result.map
+      (fun _ ->
+        Target
+          ( (module Plain),
+            config
+              {
+                Plain.cf_scenario =
+                  Cli_common.scenario_of ~scenario ~size ~load ~deadline_windows;
+                cf_horizon_ms = horizon_ms;
+                cf_params = None;
+              }
+              budget ))
+      (Cli_common.instance_of ~scenario ~size ~load ~deadline_windows)
 
 let target_t =
   Term.(

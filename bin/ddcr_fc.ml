@@ -22,7 +22,11 @@ let dimension =
 
 let main scenario size load deadline_windows indices burst theta allocation
     dimension_flag =
-  let inst = Cli_common.instance_of ~scenario ~size ~load ~deadline_windows in
+  match Cli_common.instance_of ~scenario ~size ~load ~deadline_windows with
+  | Error e ->
+    Format.eprintf "ddcr_fc: %s@." e;
+    2
+  | Ok inst ->
   Format.printf "%a@.@." Instance.pp inst;
   let oracle = Np_edf_fc.check inst in
   Format.printf

@@ -272,13 +272,17 @@ let main scenario size load deadline_windows indices burst theta allocation
       Diagnostic.exit_code diags)
   | None -> (
     let targets =
-      if all_scenarios then Scenarios.all
+      if all_scenarios then Ok Scenarios.all
       else
-        [
-          ( scenario,
-            Cli_common.instance_of ~scenario ~size ~load ~deadline_windows );
-        ]
+        Result.map
+          (fun inst -> [ (scenario, inst) ])
+          (Cli_common.instance_of ~scenario ~size ~load ~deadline_windows)
     in
+    match targets with
+    | Error e ->
+      Format.eprintf "ddcr_lint: %s@." e;
+      2
+    | Ok targets ->
     let targets =
       List.map (fun (name, inst) -> (name, apply_scaling ~sd ~sw inst)) targets
     in

@@ -1,11 +1,12 @@
 (* ddcr_model: explicit-state model checking of the DDCR automaton.
 
-   The model (rtnet.model) mirrors one contention slot of the whole
-   system — replicated Ddcr.Step states, EDF queues, channel
-   resolution, divergence detection and recovery — as a pure
-   transition function, and explores it breadth-first over every
-   schedule of at most one fault action per slot (wire garble, local
-   misperception, crash, revive) within a fault budget.  Invariants
+   The model (rtnet.model) is one contention slot of the whole system
+   as a pure transition function: it steps a copy of the simulator's
+   own replica system (Ddcr.Replicas: decisions, divergence detection,
+   recovery) with the simulator's channel resolution, over EDF queues.
+   It explores that function breadth-first over every schedule of at
+   most one fault action per slot (wire garble, local misperception,
+   crash, revive) within a fault budget.  Invariants
    checked on every reached state: protocol safety, per-replica
    well-formedness (slot accounting), lockstep among synced replicas,
    resync-by-the-next-tree-epoch-boundary, and unexcused deadline
@@ -28,7 +29,6 @@
      ddcr_model check -s uniform -n 2 --horizon-ms 1 --depth 12 --budget 2
      ddcr_model export-repro -s uniform -n 2 --params broken.json -o repro.json *)
 
-module Spec = Rtnet_campaign.Spec
 module Instance = Rtnet_workload.Instance
 module Ddcr_params = Rtnet_core.Ddcr_params
 module Json = Rtnet_util.Json
@@ -94,18 +94,9 @@ let build ~scenario ~size ~load ~deadline_windows ~horizon_ms ~seed ~params_file
   match load_params params_file with
   | Error e -> Error e
   | Ok override -> (
-    let sc =
-      {
-        Spec.sc_kind = scenario;
-        sc_size = size;
-        sc_load = load;
-        sc_deadline_windows = deadline_windows;
-        sc_fanout = 1;
-      }
-    in
-    match Spec.instance sc with
-    | exception Failure e -> Error e
-    | inst -> (
+    match Cli_common.instance_of ~scenario ~size ~load ~deadline_windows with
+    | Error e -> Error e
+    | Ok inst -> (
       let horizon = horizon_ms * 1_000_000 in
       let trace = Instance.trace inst ~seed ~horizon in
       let params =
@@ -117,7 +108,8 @@ let build ~scenario ~size ~load ~deadline_windows ~horizon_ms ~seed ~params_file
         Ok
           ( sys,
             {
-              Witness.w_scenario = sc;
+              Witness.w_scenario =
+                Cli_common.scenario_of ~scenario ~size ~load ~deadline_windows;
               w_horizon_ms = horizon_ms;
               w_params = override;
               w_trace_seed = seed;

@@ -111,9 +111,11 @@ let run_one ~name ~inst ~params ~trace ~horizon ~seed ~lockstep ~on_event ~sink
 let main scenario size load deadline_windows seed horizon_ms indices burst
     theta allocation adversary protocol per_class histogram trace_summary
     lockstep telemetry trace_out headroom =
-  let inst =
-    Cli_common.instance_of ~scenario ~size ~load ~deadline_windows
-  in
+  match Cli_common.instance_of ~scenario ~size ~load ~deadline_windows with
+  | Error e ->
+    Format.eprintf "ddcr_sim: %s@." e;
+    2
+  | Ok inst ->
   let inst =
     if adversary then Instance.with_law inst Arrival.Greedy_burst else inst
   in

@@ -56,6 +56,15 @@ val check :
     misses downgrade to ["TRC-DEGRADED"] warnings; epochs derived from
     the trace's own fault events are always added. *)
 
+val inside_epoch :
+  epochs:(int * int) list -> t0:int -> dm:int -> finish:int -> bool
+(** [inside_epoch ~epochs ~t0 ~dm ~finish] holds iff a frame started at
+    [t0] with absolute deadline [dm] and finished at [finish] is
+    excused by a fault epoch: one of [epochs] overlaps
+    [\[min t0 dm, finish)].  A fault entirely after the frame finished
+    cannot have delayed it.  {!check} downgrades exactly these misses to
+    ["TRC-DEGRADED"]. *)
+
 val check_run :
   workload:Rtnet_workload.Message.t list ->
   outcome:Rtnet_stats.Run.outcome ->

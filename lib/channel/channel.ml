@@ -82,16 +82,41 @@ let distinct_sources attempts =
   in
   no_dup sorted
 
-let record_tx ch ~src ~tag ~start ~bits =
-  let on_wire = Phy.tx_bits ch.phy bits in
-  ch.log <- (src, tag, start, start + on_wire) :: ch.log;
-  ch.st <-
-    {
-      ch.st with
-      tx_count = ch.st.tx_count + 1;
-      busy_bits = ch.st.busy_bits + on_wire;
-    };
-  on_wire
+let record_tx ch ~src ~tag ~start ~on_wire =
+  ch.log <- (src, tag, start, start + on_wire) :: ch.log
+
+(* The slot's outcome as a pure function of the medium and the
+   attempts.  [garbled] is forced only for a lone frame, so a caller
+   drawing it from a PRNG consumes exactly one draw per lone frame. *)
+let resolve phy ~now ~garbled attempts =
+  let slot = phy.Phy.slot_bits in
+  match attempts with
+  | [] -> (Idle, now + slot)
+  | [ a ] ->
+    (* A garbled frame occupies the wire for its full length but
+       carries nothing: every station sees a CRC-invalid frame. *)
+    let on_wire = Phy.tx_bits phy a.att_bits in
+    if garbled () then (Garbled { on_wire }, now + on_wire)
+    else (Tx { src = a.att_source; tag = a.att_tag; on_wire }, now + on_wire)
+  | contenders -> (
+    let ids = List.map (fun a -> (a.att_source, a.att_tag)) contenders in
+    match phy.Phy.semantics with
+    | Phy.Destructive -> (Clash { contenders = ids; survivor = None }, now + slot)
+    | Phy.Arbitration ->
+      (* Wired-OR arbitration: the smallest (deadline, static-index) key
+         survives the collision window and transmits immediately. *)
+      let a =
+        List.fold_left
+          (fun b a ->
+            if compare (a.att_key, a.att_source) (b.att_key, b.att_source) < 0
+            then a
+            else b)
+          (List.hd contenders) (List.tl contenders)
+      in
+      let on_wire = Phy.tx_bits phy a.att_bits in
+      ( Clash
+          { contenders = ids; survivor = Some (a.att_source, a.att_tag, on_wire) },
+        now + slot + on_wire ))
 
 let contend ch ~now attempts =
   if now < ch.free_at then invalid_arg "Channel.contend: channel busy";
@@ -100,17 +125,7 @@ let contend ch ~now attempts =
   (* The burst-noise state chain advances once per contention slot,
      whatever the slot carries. *)
   (match ch.plan with None -> () | Some p -> Fault_plan.tick p);
-  let slot = ch.phy.Phy.slot_bits in
-  let finish_idle () =
-    ch.st <-
-      {
-        ch.st with
-        idle_slots = ch.st.idle_slots + 1;
-        total_bits = ch.st.total_bits + slot;
-      };
-    (Idle, now + slot)
-  in
-  let garbled ch =
+  let garbled () =
     match ch.plan with
     | Some p -> Fault_plan.wire_garbles p ~now
     | None -> (
@@ -118,78 +133,42 @@ let contend ch ~now attempts =
       | None -> false
       | Some rng -> Rtnet_util.Prng.float rng 1.0 < ch.fault_rate)
   in
-  let finish_tx a =
-    if garbled ch then begin
-      (* The frame occupies the wire for its full length but carries
-         nothing: every station sees a CRC-invalid frame. *)
-      let on_wire = Phy.tx_bits ch.phy a.att_bits in
-      ch.st <-
-        {
-          ch.st with
-          garbled_count = ch.st.garbled_count + 1;
-          total_bits = ch.st.total_bits + on_wire;
-        };
-      (Garbled { on_wire }, now + on_wire)
-    end
-    else begin
-      let on_wire =
-        record_tx ch ~src:a.att_source ~tag:a.att_tag ~start:now ~bits:a.att_bits
-      in
-      ch.st <- { ch.st with total_bits = ch.st.total_bits + on_wire };
-      (Tx { src = a.att_source; tag = a.att_tag; on_wire }, now + on_wire)
-    end
-  in
-  let finish_clash contenders =
-    let ids = List.map (fun a -> (a.att_source, a.att_tag)) contenders in
-    match ch.phy.Phy.semantics with
-    | Phy.Destructive ->
-      ch.st <-
-        {
-          ch.st with
-          collision_slots = ch.st.collision_slots + 1;
-          total_bits = ch.st.total_bits + slot;
-        };
-      (Clash { contenders = ids; survivor = None }, now + slot)
-    | Phy.Arbitration ->
-      (* Wired-OR arbitration: the smallest (deadline, static-index) key
-         survives the collision window and transmits immediately. *)
-      let best =
-        List.fold_left
-          (fun acc a ->
-            match acc with
-            | None -> Some a
-            | Some b ->
-              if
-                compare (a.att_key, a.att_source) (b.att_key, b.att_source)
-                < 0
-              then Some a
-              else acc)
-          None contenders
-      in
-      let a = match best with Some a -> a | None -> assert false in
-      let on_wire =
-        record_tx ch ~src:a.att_source ~tag:a.att_tag ~start:(now + slot)
-          ~bits:a.att_bits
-      in
-      ch.st <-
-        {
-          ch.st with
-          collision_slots = ch.st.collision_slots + 1;
-          total_bits = ch.st.total_bits + slot + on_wire;
-        };
-      ( Clash
-          {
-            contenders = ids;
-            survivor = Some (a.att_source, a.att_tag, on_wire);
-          },
-        now + slot + on_wire )
-  in
-  let resolution, free_at =
-    match attempts with
-    | [] -> finish_idle ()
-    | [ a ] -> finish_tx a
-    | _ :: _ :: _ -> finish_clash attempts
-  in
+  let resolution, free_at = resolve ch.phy ~now ~garbled attempts in
+  let slot = ch.phy.Phy.slot_bits in
+  let st = ch.st in
+  ch.st <-
+    (match resolution with
+    | Idle ->
+      { st with idle_slots = st.idle_slots + 1; total_bits = st.total_bits + slot }
+    | Garbled { on_wire } ->
+      {
+        st with
+        garbled_count = st.garbled_count + 1;
+        total_bits = st.total_bits + on_wire;
+      }
+    | Tx { src; tag; on_wire } ->
+      record_tx ch ~src ~tag ~start:now ~on_wire;
+      {
+        st with
+        tx_count = st.tx_count + 1;
+        busy_bits = st.busy_bits + on_wire;
+        total_bits = st.total_bits + on_wire;
+      }
+    | Clash { survivor = None; _ } ->
+      {
+        st with
+        collision_slots = st.collision_slots + 1;
+        total_bits = st.total_bits + slot;
+      }
+    | Clash { survivor = Some (src, tag, on_wire); _ } ->
+      record_tx ch ~src ~tag ~start:(now + slot) ~on_wire;
+      {
+        st with
+        tx_count = st.tx_count + 1;
+        busy_bits = st.busy_bits + on_wire;
+        collision_slots = st.collision_slots + 1;
+        total_bits = st.total_bits + slot + on_wire;
+      });
   ch.free_at <- free_at;
   ch.holder <-
     (match resolution with
@@ -202,8 +181,15 @@ let burst ch ~src ~tag ~bits =
   | Some holder when holder = src -> ()
   | Some _ | None -> invalid_arg "Channel.burst: source does not hold the channel");
   let start = ch.free_at in
-  let on_wire = record_tx ch ~src ~tag ~start ~bits in
-  ch.st <- { ch.st with total_bits = ch.st.total_bits + on_wire };
+  let on_wire = Phy.tx_bits ch.phy bits in
+  record_tx ch ~src ~tag ~start ~on_wire;
+  ch.st <-
+    {
+      ch.st with
+      tx_count = ch.st.tx_count + 1;
+      busy_bits = ch.st.busy_bits + on_wire;
+      total_bits = ch.st.total_bits + on_wire;
+    };
   ch.free_at <- start + on_wire;
   (on_wire, ch.free_at)
 

@@ -70,13 +70,23 @@ val phy : t -> Phy.t
 val slot_bits : t -> int
 (** [slot_bits ch] is the contention-slot duration in bit-times. *)
 
+val resolve :
+  Phy.t -> now:int -> garbled:(unit -> bool) -> attempt list -> resolution * int
+(** [resolve phy ~now ~garbled attempts] is the outcome of one
+    contention slot beginning at [now] on medium [phy], and the time the
+    medium is next free — the pure part of {!contend}, which calls it.
+    No attempt is [Idle]; a lone attempt is [Garbled] if [garbled ()]
+    holds, else a [Tx]; two or more clash, with the smallest
+    [(att_key, att_source)] surviving on a {!Phy.Arbitration} medium.
+    [garbled] is called only for a lone attempt, at most once. *)
+
 val contend : t -> now:int -> attempt list -> resolution * int
 (** [contend ch ~now attempts] resolves one contention slot beginning
     at time [now] and returns the resolution together with the time at
     which the channel is next free (start of the next slot): [now +
     slot] after [Idle] or a destructive [Clash], [now + on_wire] after
-    a [Tx], and [now + slot + on_wire] after an arbitrated [Clash].
-    Statistics and the safety log are updated.
+    a [Tx], and [now + slot + on_wire] after an arbitrated [Clash]
+    (see {!resolve}).  Statistics and the safety log are updated.
     @raise Invalid_argument if [now] precedes the end of the previous
     slot, or if two attempts share a source id. *)
 

@@ -7,12 +7,11 @@ module Sink = Rtnet_telemetry.Sink
 exception Protocol_violation of string
 
 (* The pure per-replica transition function.  Every field is immutable:
-   [observe] maps (state, feedback) to a fresh state, so the same code
-   drives the production simulator (one state per replica group, see
-   [run_trace]), the lockstep-replication property tests and the
-   [rtnet.model] explicit-state explorer — which needs values it can
-   hash, dedup and stash in a frontier without defensive copies.  The
-   records are small (a handful of words; stack tails are shared
+   [observe] maps (state, feedback) to a fresh state, so the replica
+   system ([Replicas], one state per replica group) can be copied
+   cheaply for the [rtnet.model] explicit-state explorer and the
+   lockstep oracle of [run_trace] can step the same code per replica.
+   The records are small (a handful of words; stack tails are shared
    structurally), keeping the per-slot allocation cost to at most two
    short-lived blocks — the same property the zero-alloc slot-loop work
    relies on. *)
@@ -320,39 +319,6 @@ module Step = struct
       else Ok ()
 end
 
-(* One mutable cell per replica around the pure transition function,
-   preserving the original imperative interface for unit tests. *)
-module Automaton = struct
-  type t = { params : Ddcr_params.t; source : int; mutable st : Step.state }
-
-  let create params ~source = { params; source; st = Step.init }
-  let state t = t.st
-  let decide t ~msg_star = Step.decide t.params ~source:t.source t.st ~msg_star
-
-  let observe t ~resolution ~next_free =
-    t.st <- Step.observe t.params ~source:t.source t.st ~resolution ~next_free
-
-  let fingerprint t = Step.fingerprint t.st
-  let phase_name t = Step.phase_name t.st
-  let reft t = t.st.Step.reft
-  let last_tts_sent t = t.st.Step.last_out
-  let sts_leaf t = Step.sts_leaf t.st
-  let at_boundary t = Step.at_boundary t.st
-
-  (* Divergence recovery (TDMH-style resync): a listen-only replica
-     adopts the reference replica's shared state.  Only legal at a
-     tree-epoch boundary — [Free]/[Attempt] carry no tree-search state,
-     and the copied value is immutable, so nothing is shared unsafely. *)
-  let resync t ~reference =
-    if not (at_boundary reference) then
-      invalid_arg "Automaton.resync: reference replica is inside a tree search";
-    t.st <- { reference.st with Step.rank = 0 }
-
-  (* Cold restart: the only live station re-seeds the shared state from
-     scratch (everyone else resyncs to it as it becomes the reference). *)
-  let restart t ~reft = t.st <- { Step.init with Step.reft = reft }
-end
-
 type work = { observes : int; fingerprints : int }
 
 (* Per domain: topology segments may run on parallel domains. *)
@@ -490,14 +456,6 @@ module Groups = struct
       merge_equal t rest
 end
 
-let via_of_phase : Step.phase -> Ddcr_trace.via = function
-  | Step.Free -> Ddcr_trace.Free_csma
-  | Step.Attempt -> Ddcr_trace.Open_attempt
-  | Step.Tts _ -> Ddcr_trace.Time_tree
-  | Step.Sts _ -> Ddcr_trace.Static_tree
-
-let violation fmt = Printf.ksprintf (fun m -> raise (Protocol_violation m)) fmt
-
 (* The plurality digest among stations [0 .. z - 1] ([digest s] is
    [None] for a station that takes no part), ties broken toward the
    lowest station id. *)
@@ -519,6 +477,197 @@ let plurality ~z digest =
     tally None
   |> Option.map (fun (d, _, _) -> d)
 
+(* The replicated system of z stations, one slot at a time: the replica
+   groups plus each station's liveness at the previous slot.  The
+   simulator ([run_trace]) and the model checker ([rtnet.model]) both
+   step it with these functions — the checker on a [copy] per explored
+   successor. *)
+module Replicas = struct
+  type t = { g : Groups.t; prev_alive : bool array }
+
+  let create z = { g = Groups.create z; prev_alive = Array.make z true }
+
+  let copy t =
+    let g = t.g in
+    {
+      g =
+        {
+          g with
+          Groups.gid = Array.copy g.Groups.gid;
+          rank = Array.copy g.Groups.rank;
+          st = Array.copy g.Groups.st;
+          size = Array.copy g.Groups.size;
+        };
+      prev_alive = Array.copy t.prev_alive;
+    }
+
+  let sources t = Array.length t.prev_alive
+  let synced t s = Groups.synced t.g s
+  let state t s = { (Groups.state t.g s) with Step.rank = t.g.Groups.rank.(s) }
+  let was_alive t s = t.prev_alive.(s)
+
+  (* The reference replica: the lowest-id live, synced station ([-1]
+     if none).  It stands for "the shared state" in trace events,
+     divergence detection and recovery.  Without a fault plan it is
+     station 0. *)
+  let reference t ~alive =
+    let rec go s =
+      if s >= sources t then -1
+      else if Groups.synced t.g s && alive s then s
+      else go (s + 1)
+    in
+    go 0
+
+  (* Only backlogged sources have a [msg*]; an empty queue decides
+     silence in every phase. *)
+  let decide p t ~alive ~peek ~iter_backlog =
+    let g = t.g in
+    let attempts = ref [] in
+    iter_backlog (fun s ->
+        if Groups.synced g s && alive s then
+          match
+            Step.decide_ranked p ~source:s ~rank:g.Groups.rank.(s)
+              (Groups.state g s) ~msg_star:(peek s)
+          with
+          | Some a -> attempts := a :: !attempts
+          | None -> ());
+    List.rev !attempts
+
+  (* A station entering a crash window loses its replica (stale on
+     rejoin); one leaving it rejoins listen-only. *)
+  let liveness t ~alive ~crash ~rejoin =
+    for s = 0 to sources t - 1 do
+      let alive = alive s in
+      if t.prev_alive.(s) && not alive then begin
+        if Groups.synced t.g s then Groups.leave t.g s;
+        crash s
+      end
+      else if alive && not t.prev_alive.(s) then rejoin s;
+      t.prev_alive.(s) <- alive
+    done
+
+  let rec step_groups p g ~resolution ~next_free = function
+    | [] -> ()
+    | gr :: rest ->
+      Groups.step p g gr ~resolution ~next_free;
+      step_groups p g ~resolution ~next_free rest
+
+  let observe p t ~resolution ~next_free =
+    step_groups p t.g ~resolution ~next_free t.g.Groups.live
+
+  (* Each live synced replica advances on its OWN observation: a member
+     that observed something else than the wire moves into its group's
+     twin, which steps on that observation.  A slot has at most two
+     observations (the wire and its misperceived view), so one twin per
+     group suffices. *)
+  let split_and_step p t ~observed ~resolution ~next_free =
+    let g = t.g in
+    Groups.sweep g;
+    let twins = ref [] in
+    for s = 0 to sources t - 1 do
+      if Groups.synced g s then begin
+        let obs = observed s in
+        if obs != resolution && obs <> resolution then begin
+          let gr = g.Groups.gid.(s) in
+          let twin =
+            match List.assq_opt gr !twins with
+            | Some (twin, _) -> twin
+            | None ->
+              let twin = Groups.add g g.Groups.st.(gr) in
+              twins := (gr, (twin, obs)) :: !twins;
+              twin
+          in
+          Groups.move g s twin
+        end
+      end
+    done;
+    Groups.sweep g;
+    List.iter
+      (fun gr ->
+        let resolution =
+          match List.find_opt (fun (_, (twin, _)) -> twin = gr) !twins with
+          | Some (_, (_, obs)) -> obs
+          | None -> resolution
+        in
+        Groups.step p g gr ~resolution ~next_free)
+      g.Groups.live
+
+  (* Divergence detection: one digest per group; the members of every
+     group off the plurality by member count (ties broken toward the
+     lowest station id) go listen-only.  Under consistent observation
+     there is one group and this is a no-op. *)
+  let detect_divergence t ~alive ~desync ~mark_desync =
+    let g = t.g in
+    let z = sources t in
+    let digests =
+      List.map
+        (fun gr ->
+          let work = g.Groups.work in
+          work.n_fingerprints <- work.n_fingerprints + 1;
+          (gr, Step.fingerprint g.Groups.st.(gr)))
+        g.Groups.live
+    in
+    (match digests with
+    | (_, d0) :: rest when List.exists (fun (_, d) -> d <> d0) rest ->
+      let digest s =
+        if Groups.synced g s then Some (List.assq g.Groups.gid.(s) digests)
+        else None
+      in
+      let winner = plurality ~z digest in
+      for s = 0 to z - 1 do
+        if Groups.synced g s && digest s <> winner then begin
+          Groups.leave g s;
+          desync s
+        end
+      done
+    | _ -> ());
+    Groups.merge_equal g g.Groups.live;
+    (* Degradation accounting: every live station sitting out this
+       slot desynchronized extends the fault epoch. *)
+    for s = 0 to z - 1 do
+      if (not (Groups.synced g s)) && alive s then mark_desync s
+    done
+
+  (* Recovery.  A listen-only station re-acquires the shared state at
+     the next tree-epoch boundary: the reference replica must be in
+     free/attempt (no tree-search state to copy mid-flight).  If no
+     live synced station remains, the lowest-id live one cold-starts
+     the shared state and becomes the reference. *)
+  let recover t ~alive ~next_free ~resync =
+    let g = t.g in
+    let join s gr ~from =
+      Groups.enter g s gr;
+      g.Groups.rank.(s) <- 0;
+      resync s ~from
+    in
+    (if reference t ~alive < 0 then
+       let rec first_alive s =
+         if s >= sources t then -1
+         else if alive s then s
+         else first_alive (s + 1)
+       in
+       match first_alive 0 with
+       | -1 -> ()
+       | s ->
+         join s (Groups.add g { Step.init with Step.reft = next_free }) ~from:(-1));
+    match reference t ~alive with
+    | -1 -> ()
+    | r ->
+      if Step.at_boundary (Groups.state g r) then
+        for s = 0 to sources t - 1 do
+          if (not (Groups.synced g s)) && alive s then
+            join s g.Groups.gid.(r) ~from:r
+        done
+end
+
+let via_of_phase : Step.phase -> Ddcr_trace.via = function
+  | Step.Free -> Ddcr_trace.Free_csma
+  | Step.Attempt -> Ddcr_trace.Open_attempt
+  | Step.Tts _ -> Ddcr_trace.Time_tree
+  | Step.Sts _ -> Ddcr_trace.Static_tree
+
+let violation fmt = Printf.ksprintf (fun m -> raise (Protocol_violation m)) fmt
+
 let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
     ?(sink = Sink.null) ?on_complete ?inject params inst trace
     ~horizon =
@@ -527,11 +676,9 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
   | Error e -> invalid_arg ("Ddcr.run_trace: " ^ e));
   let z = inst.Instance.num_sources in
   let plan_active = plan <> None in
-  let groups = Groups.create z in
-  let gid = groups.Groups.gid and rank = groups.Groups.rank in
-  (* [prev_alive.(s)]: liveness at the previous slot, for crash/rejoin
-     transitions. *)
-  let prev_alive = Array.make z true in
+  let reps = Replicas.create z in
+  let groups = reps.Replicas.g in
+  let rank = groups.Groups.rank in
   let tracing = on_event <> None in
   let emit = match on_event with Some f -> f | None -> fun _ -> () in
   let telemetry = sink.Sink.enabled in
@@ -559,20 +706,12 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
       end
     done
   in
-  (* Only backlogged sources have a [msg*]; an empty queue decides
-     silence in every phase. *)
   let decide services ~now =
     let open Rtnet_mac.Harness in
-    let attempts = ref [] in
-    services.iter_backlog (fun s ->
-        if Groups.synced groups s && services.alive s then
-          match
-            Step.decide_ranked params ~source:s ~rank:rank.(s)
-              (Groups.state groups s) ~msg_star:(services.peek s)
-          with
-          | Some a -> attempts := a :: !attempts
-          | None -> ());
-    let attempts = List.rev !attempts in
+    let attempts =
+      Replicas.decide params reps ~alive:services.alive ~peek:services.peek
+        ~iter_backlog:services.iter_backlog
+    in
     if check_lockstep then begin
       let expected =
         List.filter_map
@@ -624,74 +763,10 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
     in
     go start0 params.Ddcr_params.burst_bits
   in
-  (* The reference replica: the lowest-id live, synced station ([-1]
-     if none).  It stands for "the shared state" in trace events,
-     divergence detection and recovery.  Without a fault plan it is
-     station 0. *)
-  let reference services =
-    let rec go s =
-      if s >= z then -1
-      else if Groups.synced groups s && services.Rtnet_mac.Harness.alive s
-      then s
-      else go (s + 1)
-    in
-    go 0
-  in
-  (* Under a plan: a station entering a crash window loses its replica
-     (stale on rejoin); one leaving it rejoins listen-only. *)
-  let liveness services ~now =
-    for s = 0 to z - 1 do
-      let alive = services.Rtnet_mac.Harness.alive s in
-      if prev_alive.(s) && not alive then begin
-        if Groups.synced groups s then Groups.leave groups s;
-        emit (Ddcr_trace.Crash { time = now; source = s })
-      end
-      else if alive && not prev_alive.(s) then
-        emit (Ddcr_trace.Rejoin { time = now; source = s });
-      prev_alive.(s) <- alive
-    done
-  in
-  (* Under a plan each live synced replica advances on its OWN
-     observation of the slot: a member that observed something else
-     than the wire moves into its group's twin, which steps on that
-     observation.  A slot has at most two observations (the wire and
-     its misperceived view), so one twin per group suffices. *)
-  let split_and_step services ~resolution ~next_free =
-    Groups.sweep groups;
-    let twins = ref [] in
-    for s = 0 to z - 1 do
-      if Groups.synced groups s then begin
-        let obs = services.Rtnet_mac.Harness.observed s in
-        if obs != resolution && obs <> resolution then begin
-          let g = gid.(s) in
-          let twin =
-            match List.assq_opt g !twins with
-            | Some (twin, _) -> twin
-            | None ->
-              let twin = Groups.add groups groups.Groups.st.(g) in
-              twins := (g, (twin, obs)) :: !twins;
-              twin
-          in
-          Groups.move groups s twin
-        end
-      end
-    done;
-    Groups.sweep groups;
-    List.iter
-      (fun g ->
-        let resolution =
-          match List.find_opt (fun (_, (twin, _)) -> twin = g) !twins with
-          | Some (_, (_, obs)) -> obs
-          | None -> resolution
-        in
-        Groups.step params groups g ~resolution ~next_free)
-      groups.Groups.live
-  in
-  (* Divergence detection: one digest per group; the members of every
-     group off the plurality by member count (ties broken toward the
-     lowest station id) go listen-only.  Under consistent observation
-     there is one group and this is a no-op. *)
+  (* The per-replica oracle's divergence verdict, checked against the
+     grouped one. *)
   let detect_divergence services ~now ~next_free =
+    let open Rtnet_mac.Harness in
     let expected =
       if check_lockstep then begin
         let digests =
@@ -705,28 +780,9 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
       end
       else [||]
     in
-    let digests =
-      List.map
-        (fun g ->
-          let work = groups.Groups.work in
-          work.n_fingerprints <- work.n_fingerprints + 1;
-          (g, Step.fingerprint groups.Groups.st.(g)))
-        groups.Groups.live
-    in
-    (match digests with
-    | (_, d0) :: rest when List.exists (fun (_, d) -> d <> d0) rest ->
-      let digest s =
-        if Groups.synced groups s then Some (List.assq gid.(s) digests)
-        else None
-      in
-      let winner = plurality ~z digest in
-      for s = 0 to z - 1 do
-        if Groups.synced groups s && digest s <> winner then begin
-          Groups.leave groups s;
-          emit (Ddcr_trace.Desync { time = next_free; source = s })
-        end
-      done
-    | _ -> ());
+    Replicas.detect_divergence reps ~alive:services.alive
+      ~desync:(fun s -> emit (Ddcr_trace.Desync { time = next_free; source = s }))
+      ~mark_desync:services.mark_desync;
     if check_lockstep then
       for s = 0 to z - 1 do
         if Groups.synced groups s <> expected.(s) then
@@ -735,55 +791,22 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
              per-replica verdict disagrees"
             now s
             (if Groups.synced groups s then "kept" else "left")
-      done;
-    Groups.merge_equal groups groups.Groups.live;
-    (* Degradation accounting: every live station sitting out this
-       slot desynchronized extends the fault epoch. *)
-    for s = 0 to z - 1 do
-      if (not (Groups.synced groups s)) && services.Rtnet_mac.Harness.alive s
-      then services.Rtnet_mac.Harness.mark_desync s
-    done
+      done
   in
-  (* Recovery.  A listen-only station re-acquires the shared state at
-     the next tree-epoch boundary: the reference replica must be in
-     free/attempt (no tree-search state to copy mid-flight).  If no
-     live synced station remains, the lowest-id live one cold-starts
-     the shared state and becomes the reference. *)
-  let recover services ~post ~next_free =
+  let recover services ~next_free =
     let open Rtnet_mac.Harness in
-    let resync s g =
-      Groups.enter groups s g;
-      rank.(s) <- 0;
-      services.mark_resync s;
-      emit (Ddcr_trace.Resync { time = next_free; source = s })
-    in
-    (if post < 0 then
-       let rec first_alive s =
-         if s >= z then -1
-         else if services.alive s then s
-         else first_alive (s + 1)
-       in
-       match first_alive 0 with
-       | -1 -> ()
-       | s ->
-         let fresh = { Step.init with Step.reft = next_free } in
-         resync s (Groups.add groups fresh);
-         if check_lockstep then oracle.(s) <- fresh);
-    match reference services with
-    | -1 -> ()
-    | r ->
-      if Step.at_boundary (Groups.state groups r) then
-        for s = 0 to z - 1 do
-          if (not (Groups.synced groups s)) && services.alive s then begin
-            resync s gid.(r);
-            if check_lockstep then
-              oracle.(s) <- { (oracle.(r)) with Step.rank = 0 }
-          end
-        done
+    Replicas.recover reps ~alive:services.alive ~next_free ~resync:(fun s ~from ->
+        services.mark_resync s;
+        emit (Ddcr_trace.Resync { time = next_free; source = s });
+        if check_lockstep then
+          oracle.(s) <-
+            (if from < 0 then { Step.init with Step.reft = next_free }
+             else { (oracle.(from)) with Step.rank = 0 }))
   in
   let after services ~now ~resolution ~next_free =
+    let alive = services.Rtnet_mac.Harness.alive in
     let pre =
-      match reference services with
+      match Replicas.reference reps ~alive with
       | -1 -> Groups.replica0 groups
       | r -> Groups.state groups r
     in
@@ -842,10 +865,13 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
         next_free
     in
     if plan_active then begin
-      liveness services ~now;
-      split_and_step services ~resolution ~next_free
+      Replicas.liveness reps ~alive
+        ~crash:(fun s -> emit (Ddcr_trace.Crash { time = now; source = s }))
+        ~rejoin:(fun s -> emit (Ddcr_trace.Rejoin { time = now; source = s }));
+      Replicas.split_and_step params reps
+        ~observed:services.Rtnet_mac.Harness.observed ~resolution ~next_free
     end
-    else Groups.step params groups 0 ~resolution ~next_free;
+    else Replicas.observe params reps ~resolution ~next_free;
     if check_lockstep then begin
       (* Desynced stations are listen-only: their stale replica is not
          advanced (it is replaced wholesale on resync). *)
@@ -858,7 +884,7 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
       check_replicas ~now "observe"
     end;
     if plan_active then detect_divergence services ~now ~next_free;
-    let post = reference services in
+    let post = Replicas.reference reps ~alive in
     (if (tracing || telemetry) && post >= 0 then
        (* Phase-transition events, derived from the reference replica. *)
        let st = Groups.state groups post in
@@ -906,7 +932,7 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
          close_tts ()
        | Step.Tts _, Step.Attempt -> close_tts ()
        | _, _ -> ());
-    if plan_active then recover services ~post ~next_free;
+    if plan_active then recover services ~next_free;
     if check_lockstep then check_replicas ~now "recovery";
     next_free
   in

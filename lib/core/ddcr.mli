@@ -33,11 +33,9 @@ exception Protocol_violation of string
 
 (** The pure per-replica transition function: the whole DDCR step as a
     [state -> feedback -> state] map over immutable records.  The
-    simulator steps one such state per replica group ({!run_trace});
-    the mutable {!Automaton} below is a thin wrapper over this module;
-    the explicit-state model checker ([Rtnet_model]) explores these values
-    directly — they are hashable, comparable and structurally shared,
-    so a frontier of reached states needs no defensive copies. *)
+    simulator and the model checker step one such state per replica
+    group ({!Replicas}); the values are hashable, comparable and
+    structurally shared, so a copy of a replica system is cheap. *)
 module Step : sig
   type tts = {
     t_stack : (int * int) list;
@@ -69,7 +67,9 @@ module Step : sig
     state ->
     msg_star:Rtnet_workload.Message.t option ->
     Rtnet_channel.Channel.attempt option
-  (** Pure counterpart of {!Automaton.decide}. *)
+  (** [decide p ~source st ~msg_star] is the source's action for the
+      next contention slot, given the head of its local EDF queue:
+      [Some attempt] to transmit, [None] to stay silent. *)
 
   val observe :
     Ddcr_params.t ->
@@ -78,21 +78,25 @@ module Step : sig
     resolution:Rtnet_channel.Channel.resolution ->
     next_free:int ->
     state
-  (** Pure counterpart of {!Automaton.observe}: the state after the
-      slot's channel feedback.  [source] is needed only for the private
-      rank bump on the replica's own static-tree transmissions.
+  (** [observe p ~source st ~resolution ~next_free] is the state after
+      the slot's channel feedback; [next_free] is the start of the next
+      contention slot ("local physical time" at which the next decision
+      is taken).  [source] is needed only for the private rank bump on
+      the replica's own static-tree transmissions.
       @raise Protocol_violation on inconsistent feedback. *)
 
   val fingerprint : state -> string
-  (** Digest of the {b shared} state (phase, stacks, [reft], [f*]);
-      byte-identical to {!Automaton.fingerprint} on the wrapped state.
-      Private state (the rank) is excluded. *)
+  (** Digest of the {b shared} state (phase, stacks, [reft], [f*]) —
+      equal across all replicas after every slot iff replication is in
+      lockstep.  Private state (the rank) and [last_out] are
+      excluded. *)
 
   val phase_name : state -> string
   (** ["free"], ["attempt"], ["tts"] or ["sts"]. *)
 
   val at_boundary : state -> bool
-  (** Between tree epochs (phase free or attempt). *)
+  (** Between tree epochs (phase free or attempt) — the only states a
+      recovering station may copy. *)
 
   val sts_leaf : state -> int option
   (** The colliding deadline class of an STs in progress, if any. *)
@@ -106,69 +110,108 @@ module Step : sig
       in-search phase and the STs leaf in range. *)
 end
 
-(** The per-source protocol automaton, exposed for unit tests and for
-    the lockstep-replication property test.  A thin mutable wrapper
-    around {!Step}. *)
-module Automaton : sig
+(** The replicated system of [z] stations, stepped one contention slot
+    at a time: the replica {e groups} (every live, synced replica
+    holding the same shared state is stored once, with each station's
+    private static rank beside it — see DESIGN.md §17) plus each
+    station's liveness at the previous slot.  {!run_trace} is glue
+    around these functions (tracing, telemetry, bursting and the
+    [check_lockstep] oracle); the model checker ([Rtnet_model]) steps a
+    {!copy} per explored successor with the very same calls.
+
+    One slot, given the harness inputs ([alive], [peek], the backlog,
+    each station's [observed] feedback): {!decide}, channel resolution
+    (outside this module), then {!liveness}, {!split_and_step} (or
+    {!observe} under consistent observation), {!detect_divergence} and
+    {!recover}.  Crash, rejoin, desync and resync are reported through
+    callbacks.  All functions mutate the value in place. *)
+module Replicas : sig
   type t
-  (** Replicated protocol state of one source. *)
 
-  val state : t -> Step.state
-  (** [state a] is the wrapped pure state (shared, immutable). *)
+  val create : int -> t
+  (** [create z]: [z] live stations, all synced at {!Step.init}. *)
 
-  val create : Ddcr_params.t -> source:int -> t
-  (** [create params ~source] is the automaton of source [source] in
-      its initial (free CSMA-CD) state. *)
+  val copy : t -> t
+  (** An independent copy (stepping one leaves the other unchanged). *)
+
+  val synced : t -> int -> bool
+  (** [synced t s]: station [s] holds a replica of the shared state
+      (it is neither crashed nor listen-only). *)
+
+  val state : t -> int -> Step.state
+  (** [state t s] is synced station [s]'s replica, its own rank
+      included. *)
+
+  val was_alive : t -> int -> bool
+  (** [was_alive t s]: [s] was live in the last slot {!liveness} saw
+      (initially [true]). *)
+
+  val reference : t -> alive:(int -> bool) -> int
+  (** The lowest-id live synced station, [-1] if none — "the shared
+      state" for trace events, divergence detection and recovery. *)
 
   val decide :
-    t -> msg_star:Rtnet_workload.Message.t option -> Rtnet_channel.Channel.attempt option
-  (** [decide a ~msg_star] is the source's action for the next
-      contention slot, given the head of its local EDF queue: [Some
-      attempt] to transmit, [None] to stay silent. *)
+    Ddcr_params.t ->
+    t ->
+    alive:(int -> bool) ->
+    peek:(int -> Rtnet_workload.Message.t option) ->
+    iter_backlog:((int -> unit) -> unit) ->
+    Rtnet_channel.Channel.attempt list
+  (** The attempts of the live synced backlogged stations for the next
+      slot, in [iter_backlog] order; [peek s] is [s]'s [msg*]. *)
+
+  val liveness :
+    t -> alive:(int -> bool) -> crash:(int -> unit) -> rejoin:(int -> unit) -> unit
+  (** Applies this slot's liveness: a station going down loses its
+      replica ([crash s]); one coming back rejoins listen-only
+      ([rejoin s]). *)
 
   val observe :
+    Ddcr_params.t ->
     t ->
     resolution:Rtnet_channel.Channel.resolution ->
     next_free:int ->
     unit
-  (** [observe a ~resolution ~next_free] advances the replica with the
-      channel feedback of the slot; [next_free] is the start of the
-      next contention slot ("local physical time" at which the next
-      decision is taken). *)
+  (** Steps every replica on the wire [resolution] — consistent
+      observation, the paper's model (without a fault plan there is one
+      group, stepped once).
+      @raise Protocol_violation on inconsistent feedback. *)
 
-  val fingerprint : t -> string
-  (** [fingerprint a] digests the {b shared} replica state (phase,
-      stacks, [reft], [f*]) — equal across all sources after every slot
-      iff replication is in lockstep.  Private state (the static-index
-      rank) is excluded. *)
+  val split_and_step :
+    Ddcr_params.t ->
+    t ->
+    observed:(int -> Rtnet_channel.Channel.resolution) ->
+    resolution:Rtnet_channel.Channel.resolution ->
+    next_free:int ->
+    unit
+  (** Steps every synced replica on its own observation [observed s]:
+      members of a group that saw something else than the wire split
+      into a twin group stepped on that observation.
+      @raise Protocol_violation on inconsistent feedback. *)
 
-  val phase_name : t -> string
-  (** [phase_name a] is ["free"], ["attempt"], ["tts"] or ["sts"]. *)
+  val detect_divergence :
+    t ->
+    alive:(int -> bool) ->
+    desync:(int -> unit) ->
+    mark_desync:(int -> unit) ->
+    unit
+  (** Compares one {!Step.fingerprint} per group: the stations whose
+      digest is off the plurality by member count (ties toward the
+      lowest id) go listen-only ([desync s]); groups left with equal
+      states merge.  Then [mark_desync s] for every live station still
+      listen-only. *)
 
-  val reft : t -> int
-  (** [reft a] is the replica's current reference time. *)
-
-  val last_tts_sent : t -> bool
-  (** [last_tts_sent a] is the [out] flag of the most recently
-      completed time tree search ([false] before the first one). *)
-
-  val sts_leaf : t -> int option
-  (** [sts_leaf a] is the colliding deadline class of the static tree
-      search in progress, if any. *)
-
-  val at_boundary : t -> bool
-  (** [at_boundary a] iff the replica is between tree epochs (phase
-      free or attempt) — the only states a recovering station may copy. *)
-
-  val resync : t -> reference:t -> unit
-  (** [resync a ~reference] replaces [a]'s shared replica state (phase,
-      [reft], [out]) with [reference]'s and resets its private rank —
-      the divergence-recovery step, legal only at a tree-epoch boundary.
-      @raise Invalid_argument if [reference] is inside a tree search. *)
-
-  val restart : t -> reft:int -> unit
-  (** [restart a ~reft] cold-starts the replica (free CSMA-CD, the
-      given [reft]) — used when no synced station is left to copy. *)
+  val recover :
+    t ->
+    alive:(int -> bool) ->
+    next_free:int ->
+    resync:(int -> from:int -> unit) ->
+    unit
+  (** If no live synced station remains, the lowest-id live one
+      cold-restarts the shared state at [reft = next_free]
+      ([resync s ~from:(-1)]).  Then, if the reference is at a
+      tree-epoch boundary, every live listen-only station copies it
+      ([resync s ~from:reference]). *)
 end
 
 val run_trace :
@@ -194,7 +237,7 @@ val run_trace :
     shared state form one group whose state is stepped once per slot,
     and each source keeps only its group id and private static rank —
     so a slot costs O(distinct replica states + backlogged sources),
-    not O(z) (see DESIGN.md, "Grouped replica stepping").
+    not O(z) (see {!Replicas} and DESIGN.md §17).
 
     With [check_lockstep] (default [false]) the run also steps a
     per-source {!Step.state} array the ungrouped way — each replica on

@@ -103,6 +103,21 @@ let misperceived_view (resolution : Channel.resolution) =
     ->
     resolution
 
+type epochs = { closed : (int * int) list; current : (int * int) option }
+
+let no_epochs = { closed = []; current = None }
+
+(* Adjacent/overlapping faulty slots coalesce because the next slot
+   starts exactly at this one's [next_free]. *)
+let note_epoch ep ~start ~finish =
+  match ep.current with
+  | Some (s, e) when start <= e -> { ep with current = Some (s, max e finish) }
+  | Some span -> { closed = span :: ep.closed; current = Some (start, finish) }
+  | None -> { ep with current = Some (start, finish) }
+
+let epoch_list ep =
+  List.rev (match ep.current with Some span -> span :: ep.closed | None -> ep.closed)
+
 let arrival_order a b =
   compare
     (a.Message.arrival, a.Message.uid)
@@ -173,19 +188,7 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
   let desync_slots = Array.make num_sources 0 in
   let resyncs = Array.make num_sources 0 in
   let slot_faulty = ref false in
-  (* Fault epochs, merged on the fly: adjacent/overlapping faulty slots
-     coalesce because the next slot starts exactly at this one's
-     [next_free]. *)
-  let epochs = ref [] in
-  let epoch_open = ref None in
-  let note_epoch ~start ~finish =
-    match !epoch_open with
-    | Some (s, e) when start <= e -> epoch_open := Some (s, max e finish)
-    | Some (s, e) ->
-      epochs := (s, e) :: !epochs;
-      epoch_open := Some (start, finish)
-    | None -> epoch_open := Some (start, finish)
-  in
+  let epochs = ref no_epochs in
   let services =
     {
       channel;
@@ -342,7 +345,7 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
       let start = now + Channel.slot_bits channel in
       services.complete m ~start ~finish:(start + on_wire));
     let next_free = after services ~now ~resolution ~next_free in
-    if !slot_faulty then note_epoch ~start:now ~finish:next_free;
+    if !slot_faulty then epochs := note_epoch !epochs ~start:now ~finish:next_free;
     if next_free < horizon then Engine.schedule_at eng ~time:next_free slot
   in
   Engine.schedule_at engine ~time:0 slot;
@@ -366,13 +369,9 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
     match plan with
     | None -> None
     | Some _ ->
-      (match !epoch_open with
-      | Some span -> epochs := span :: !epochs
-      | None -> ());
+      let epochs = epoch_list !epochs in
       if telemetry then
-        List.iter
-          (fun (start, finish) -> sink.Sink.epoch ~start ~finish)
-          (List.rev !epochs);
+        List.iter (fun (start, finish) -> sink.Sink.epoch ~start ~finish) epochs;
       Some
         {
           Run.f_per_source =
@@ -385,7 +384,7 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
                   sf_desync_slots = desync_slots.(s);
                   sf_resyncs = resyncs.(s);
                 });
-          f_epochs = List.rev !epochs;
+          f_epochs = epochs;
         }
   in
   {

@@ -102,6 +102,24 @@ val misperceived_view :
     Exposed so model checkers ([Rtnet_model]) apply the {e exact} same
     observation corruption the harness does. *)
 
+(** The fault-epoch ledger: the merged spans of degraded slots. *)
+type epochs = {
+  closed : (int * int) list;  (** finished epochs, most recent first *)
+  current : (int * int) option;  (** the epoch still growing, if any *)
+}
+
+val no_epochs : epochs
+
+val note_epoch : epochs -> start:int -> finish:int -> epochs
+(** [note_epoch ep ~start ~finish] records the degraded slot
+    [\[start, finish)]: it extends the current epoch if it starts no
+    later than that epoch's end, and opens a new one otherwise.
+    {!run} notes every degraded slot this way. *)
+
+val epoch_list : epochs -> (int * int) list
+(** [epoch_list ep] is every epoch, oldest first — the outcome's
+    [f_epochs]. *)
+
 val run :
   protocol:string ->
   ?fault:Rtnet_channel.Channel.fault ->

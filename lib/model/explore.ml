@@ -38,15 +38,15 @@ let actions_for sys nd =
   if nd.T.budget > 0 then begin
     acc := T.Garble :: !acc;
     for s = z - 1 downto 0 do
-      if (not nd.T.crashed.(s)) && nd.T.synced.(s) then
+      if (not (T.crashed nd s)) && T.synced nd s then
         acc := T.Misperceive s :: !acc
     done;
     for s = z - 1 downto 0 do
-      if not nd.T.crashed.(s) then acc := T.Crash s :: !acc
+      if not (T.crashed nd s) then acc := T.Crash s :: !acc
     done
   end;
   for s = z - 1 downto 0 do
-    if nd.T.crashed.(s) then acc := T.Revive s :: !acc
+    if T.crashed nd s then acc := T.Revive s :: !acc
   done;
   !acc
 

@@ -3,15 +3,17 @@ module Instance = Rtnet_workload.Instance
 module Channel = Rtnet_channel.Channel
 module Phy = Rtnet_channel.Phy
 module Edf_queue = Rtnet_edf.Edf_queue
+module Harness = Rtnet_mac.Harness
 module Ddcr = Rtnet_core.Ddcr
+module Replicas = Rtnet_core.Ddcr.Replicas
 module Step = Rtnet_core.Ddcr.Step
 module Ddcr_params = Rtnet_core.Ddcr_params
 
 (* The model's transition relation: one contention slot of the whole
-   system — arrivals, per-replica decisions, channel resolution, local
-   observations, divergence detection and recovery — as a pure function
-   of (node, fault action).  Every deterministic piece reuses the
-   production code (Step.decide / Step.observe, EDF queues); what the
+   system as a pure function of (node, fault action).  The replica
+   system is the simulator's own ([Ddcr.Replicas], stepped on a copy),
+   channel resolution is [Channel.resolve], the epoch ledger is the
+   harness's and the excuse rule [Trace_check.inside_epoch].  What the
    simulator samples randomly (garbles, misperceptions, crash windows)
    is the explorer's branching choice, at most ONE fault action per
    slot.  A node therefore corresponds exactly to one reachable
@@ -29,12 +31,9 @@ type node = {
   time : int; (* start of the next contention slot, bit-times *)
   arr : int; (* arrivals.(i) for i < arr have been delivered *)
   queues : Edf_queue.t array;
-  replicas : Step.state array;
-  synced : bool array;
-  crashed : bool array; (* inside a model crash (explicit Revive ends it) *)
+  replicas : Replicas.t; (* never mutated: [step] steps a copy *)
   budget : int; (* remaining fault actions *)
-  epochs : (int * int) list; (* closed fault epochs, most recent first *)
-  epoch_open : (int * int) option; (* the growing current epoch *)
+  epochs : Harness.epochs;
 }
 
 type action =
@@ -123,75 +122,100 @@ let init sys =
     time = 0;
     arr = 0;
     queues = Array.make z Edf_queue.empty;
-    replicas = Array.make z Step.init;
-    synced = Array.make z true;
-    crashed = Array.make z false;
+    replicas = Replicas.create z;
     budget = 0 (* set by the explorer *);
-    epochs = [];
-    epoch_open = None;
+    epochs = Harness.no_epochs;
   }
 
-(* Mirrors Harness.note_epoch: adjacent/overlapping faulty slots
-   coalesce because the next slot starts exactly at this one's
-   next_free. *)
-let note_epoch nd ~start ~finish =
-  match nd.epoch_open with
-  | Some (s, e) when start <= e -> { nd with epoch_open = Some (s, max e finish) }
-  | Some span -> { nd with epochs = span :: nd.epochs; epoch_open = Some (start, finish) }
-  | None -> { nd with epoch_open = Some (start, finish) }
+(* A model crash lasts until an explicit Revive. *)
+let crashed nd s = not (Replicas.was_alive nd.replicas s)
+let synced nd s = Replicas.synced nd.replicas s
 
-(* Mirrors Trace_check.inside_epoch over the epochs recorded so far
-   (closed plus open).  Checking at completion time is equivalent to
-   checking against the final epoch list: a future epoch starts at or
-   after this slot's next_free >= finish, so it can never satisfy
-   s < finish; and the open epoch can only grow while it still covers
-   the current slot, in which case it already excuses it. *)
-let inside_epoch nd ~t0 ~dm ~finish =
-  let lo = min t0 dm in
-  let hit (s, e) = s < finish && lo < e in
-  List.exists hit nd.epochs
-  || match nd.epoch_open with Some span -> hit span | None -> false
+(* The invariants of a reached node, first failure only: every live
+   synced replica well-formed (slot accounting), all of them in
+   lockstep with the reference after recovery, none left listen-only
+   once the reference is at a tree-epoch boundary, and the completed
+   frame (if any) on time or excused by an overlapping fault epoch
+   (TRC-DEADLINE / TRC-DEGRADED semantics of Trace_check). *)
+let check_invariants sys nd ~alive ~now ~completion =
+  let z = sys.inst.Instance.num_sources in
+  let reps = nd.replicas in
+  let violation = ref None in
+  let set v = if !violation = None then violation := Some v in
+  for s = 0 to z - 1 do
+    if Replicas.synced reps s then
+      match Step.wf sys.params ~source:s (Replicas.state reps s) with
+      | Ok () -> ()
+      | Error reason -> set (Wf_error { time = nd.time; source = s; reason })
+  done;
+  (match Replicas.reference reps ~alive with
+  | -1 -> ()
+  | r ->
+    let ref_fp = Step.fingerprint (Replicas.state reps r) in
+    for s = 0 to z - 1 do
+      if Replicas.synced reps s then begin
+        let fp = Step.fingerprint (Replicas.state reps s) in
+        if fp <> ref_fp then
+          set
+            (Lockstep_broken
+               { time = nd.time; reference = r; source = s; ref_fp; fp })
+      end
+    done;
+    if Step.at_boundary (Replicas.state reps r) then
+      for s = 0 to z - 1 do
+        if alive s && not (Replicas.synced reps s) then
+          set (Missed_resync { time = nd.time; source = s })
+      done);
+  (match completion with
+  | None -> ()
+  | Some (m, start, finish) ->
+    (* Checking at completion time is equivalent to checking against
+       the final epoch list: a later epoch starts at or after this
+       slot's end >= finish, and the open epoch only grows while it
+       covers the current slot. *)
+    let dm = Message.abs_deadline m in
+    if
+      finish > dm
+      && not
+           (Rtnet_analysis.Trace_check.inside_epoch
+              ~epochs:(Harness.epoch_list nd.epochs) ~t0:start ~dm ~finish)
+    then
+      set
+        (Deadline_miss
+           {
+             time = now;
+             source = m.Message.cls.Message.cls_source;
+             uid = m.Message.uid;
+             finish;
+             deadline = dm;
+           }));
+  match !violation with Some v -> Violating v | None -> Stepped nd
 
-let exists_src z p =
-  let rec go s = s < z && (p s || go (s + 1)) in
-  go 0
-
-(* One slot.  Applies [action], then mirrors, in order: the harness
-   slot body (deliver, liveness refresh, decide, contend, per-source
-   observation, completion) and Ddcr.run_trace's [after] (liveness
-   edges, per-replica observe on the OWN observation, fingerprint
-   plurality, desync accounting, cold restart, boundary resync),
-   then the harness epoch note — and checks the invariants. *)
+(* One slot: applies [action], then what the harness slot body does
+   (deliver, decide, resolve, per-source observation, completion) and
+   Ddcr.run_trace's replica update under a plan (liveness,
+   split-and-step, divergence, recovery), then the harness epoch note —
+   and checks the invariants. *)
 let step sys nd action =
   let z = sys.inst.Instance.num_sources in
-  let phy = sys.inst.Instance.phy in
-  let slot = phy.Phy.slot_bits in
   let now = nd.time in
   (* Fault action: liveness changes apply from this slot's start (the
      harness refreshes per-source liveness before [decide]). *)
-  let enabled, budget, crashed =
+  let enabled, budget =
     match action with
-    | No_fault -> (true, nd.budget, nd.crashed)
-    | Garble | Misperceive _ ->
-      (nd.budget > 0, nd.budget - 1, nd.crashed)
-    | Crash s ->
-      if nd.budget > 0 && not nd.crashed.(s) then begin
-        let crashed = Array.copy nd.crashed in
-        crashed.(s) <- true;
-        (true, nd.budget - 1, crashed)
-      end
-      else (false, nd.budget, nd.crashed)
-    | Revive s ->
-      if nd.crashed.(s) then begin
-        let crashed = Array.copy nd.crashed in
-        crashed.(s) <- false;
-        (true, nd.budget, crashed)
-      end
-      else (false, nd.budget, nd.crashed)
+    | No_fault -> (true, nd.budget)
+    | Garble | Misperceive _ -> (nd.budget > 0, nd.budget - 1)
+    | Crash s -> (nd.budget > 0 && not (crashed nd s), nd.budget - 1)
+    | Revive s -> (crashed nd s, nd.budget)
   in
   if not enabled then Disabled
   else begin
-    let alive s = not crashed.(s) in
+    let alive s =
+      match action with
+      | Crash c when c = s -> false
+      | Revive r when r = s -> true
+      | _ -> not (crashed nd s)
+    in
     (* Deliver arrivals with T <= now. *)
     let queues = Array.copy nd.queues in
     let arr = ref nd.arr in
@@ -204,314 +228,100 @@ let step sys nd action =
       queues.(s) <- Edf_queue.insert queues.(s) m;
       incr arr
     done;
-    let slot_faulty = ref (exists_src z (fun s -> crashed.(s))) in
-    (* Decisions of the live synced replicas, in source order (crashed
-       sources transmit nothing; desynced stations are listen-only). *)
-    let attempts = ref [] in
-    for s = z - 1 downto 0 do
-      if alive s && nd.synced.(s) then
-        match
-          Step.decide sys.params ~source:s nd.replicas.(s)
-            ~msg_star:(Edf_queue.peek queues.(s))
-        with
-        | Some a -> attempts := a :: !attempts
-        | None -> ()
-    done;
-    let attempts = !attempts in
-    (* A Garble action needs a lone frame to destroy; a Misperceive
-       needs a live synced listener whose mapped view differs. *)
-    match (action, attempts) with
-    | Garble, ([] | _ :: _ :: _) -> Disabled
-    | _ -> (
-      (* Channel resolution (pure mirror of Channel.contend with the
-         chosen garble). *)
-      let resolution, next_free =
-        match attempts with
-        | [] -> (Channel.Idle, now + slot)
-        | [ a ] ->
-          let on_wire = Phy.tx_bits phy a.Channel.att_bits in
-          if action = Garble then (Channel.Garbled { on_wire }, now + on_wire)
-          else
-            ( Channel.Tx
-                { src = a.Channel.att_source; tag = a.Channel.att_tag; on_wire },
-              now + on_wire )
-        | contenders -> (
-          let ids =
-            List.map
-              (fun a -> (a.Channel.att_source, a.Channel.att_tag))
-              contenders
-          in
-          match phy.Phy.semantics with
-          | Phy.Destructive ->
-            (Channel.Clash { contenders = ids; survivor = None }, now + slot)
-          | Phy.Arbitration ->
-            let best =
-              List.fold_left
-                (fun acc a ->
-                  match acc with
-                  | None -> Some a
-                  | Some b ->
-                    if
-                      compare
-                        (a.Channel.att_key, a.Channel.att_source)
-                        (b.Channel.att_key, b.Channel.att_source)
-                      < 0
-                    then Some a
-                    else acc)
-                None contenders
-            in
-            let a = match best with Some a -> a | None -> assert false in
-            let on_wire = Phy.tx_bits phy a.Channel.att_bits in
-            ( Channel.Clash
-                {
-                  contenders = ids;
-                  survivor = Some (a.Channel.att_source, a.Channel.att_tag, on_wire);
-                },
-              now + slot + on_wire ))
-      in
-      let participants = List.map (fun a -> a.Channel.att_source) attempts in
-      (match resolution with
-      | Channel.Garbled _ -> slot_faulty := true
-      | _ -> ());
-      (* Per-source local observations (Harness.misperceived_view). *)
+    let attempts =
+      Replicas.decide sys.params nd.replicas ~alive
+        ~peek:(fun s -> Edf_queue.peek queues.(s))
+        ~iter_backlog:(fun f ->
+          for s = 0 to z - 1 do
+            if not (Edf_queue.is_empty queues.(s)) then f s
+          done)
+    in
+    let resolution, next_free =
+      Channel.resolve sys.inst.Instance.phy ~now
+        ~garbled:(fun () -> action = Garble)
+        attempts
+    in
+    (* A Garble needs a lone frame to destroy; a Misperceive needs a
+       live synced listener whose view of this slot differs. *)
+    let enabled =
+      match (action, resolution) with
+      | Garble, Channel.Garbled _ -> true
+      | Garble, _ -> false
+      | Misperceive s, _ ->
+        alive s && synced nd s
+        && (not (List.exists (fun a -> a.Channel.att_source = s) attempts))
+        && Harness.misperceived_view resolution <> resolution
+      | (No_fault | Crash _ | Revive _), _ -> true
+    in
+    if not enabled then Disabled
+    else begin
       let observed s =
-        if crashed.(s) then Channel.Idle
-        else
-          match action with
-          | Misperceive s' when s' = s && not (List.mem s participants) ->
-            Rtnet_mac.Harness.misperceived_view resolution
-          | _ -> resolution
-      in
-      let misperceive_ok =
         match action with
-        | Misperceive s ->
-          alive s && nd.synced.(s)
-          && (not (List.mem s participants))
-          && observed s <> resolution
-        | _ -> true
+        | Misperceive m when m = s -> Harness.misperceived_view resolution
+        | _ -> resolution
       in
-      if not misperceive_ok then Disabled
-      else begin
-        (match action with
-        | Misperceive _ -> slot_faulty := true
-        | _ -> ());
-        (* Completion of the carried frame, if any. *)
-        let completion = ref None in
-        let take_err = ref None in
-        (match resolution with
-        | Channel.Idle | Channel.Garbled _
-        | Channel.Clash { survivor = None; _ } ->
-          ()
-        | Channel.Tx { src; tag; _ } | Channel.Clash { survivor = Some (src, tag, _); _ }
-          -> (
+      let faulty =
+        ref
+          (Seq.exists (fun s -> not (alive s)) (Seq.init z Fun.id)
+          || match action with Garble | Misperceive _ -> true | _ -> false)
+      in
+      (* Completion of the carried frame, if any. *)
+      let completion =
+        match resolution with
+        | Channel.Idle | Channel.Garbled _ | Channel.Clash { survivor = None; _ }
+          ->
+          Ok None
+        | Channel.Tx { src; tag; on_wire }
+        | Channel.Clash { survivor = Some (src, tag, on_wire); _ } -> (
           let start =
             match resolution with
-            | Channel.Clash _ -> now + slot
+            | Channel.Clash _ -> now + sys.inst.Instance.phy.Phy.slot_bits
             | _ -> now
-          in
-          let on_wire =
-            match resolution with
-            | Channel.Tx { on_wire; _ }
-            | Channel.Clash { survivor = Some (_, _, on_wire); _ } ->
-              on_wire
-            | _ -> assert false
           in
           match Edf_queue.pop queues.(src) with
           | Some (m, q) when m.Message.uid = tag ->
             queues.(src) <- q;
-            completion := Some (m, start, start + on_wire)
+            Ok (Some (m, start, start + on_wire))
           | Some (m, _) ->
-            take_err :=
-              Some
-                (Printf.sprintf
-                   "carried tag %d of source %d disagrees with the EDF head \
-                    (uid %d)"
-                   tag src m.Message.uid)
+            Error
+              (Printf.sprintf
+                 "carried tag %d of source %d disagrees with the EDF head (uid \
+                  %d)"
+                 tag src m.Message.uid)
           | None ->
-            take_err :=
-              Some
-                (Printf.sprintf "source %d transmitted from an empty queue" src)));
-        match !take_err with
-        | Some reason -> Violating (Model_error { time = now; reason })
-        | None -> (
-          (* --- the run_trace [after] mirror --- *)
-          let replicas = Array.copy nd.replicas in
-          let synced = Array.copy nd.synced in
-          (* Liveness edges: entering a crash loses sync. *)
-          for s = 0 to z - 1 do
-            if nd.crashed.(s) = false && crashed.(s) then synced.(s) <- false
-          done;
-          (* Each live synced replica advances on its own observation. *)
-          let proto_err = ref None in
-          for s = 0 to z - 1 do
-            if alive s && synced.(s) && !proto_err = None then
-              match
-                Step.observe sys.params ~source:s replicas.(s)
-                  ~resolution:(observed s) ~next_free
-              with
-              | st -> replicas.(s) <- st
-              | exception Ddcr.Protocol_violation reason ->
-                proto_err := Some reason
-          done;
-          match !proto_err with
-          | Some reason -> Violating (Protocol_error { time = now; reason })
-          | None -> (
-            (* Fingerprint plurality: minority digests go listen-only
-               (ties broken toward the group holding the lowest id). *)
-            let groups : (string, int list) Hashtbl.t = Hashtbl.create 4 in
-            for s = 0 to z - 1 do
-              if alive s && synced.(s) then begin
-                let fp = Step.fingerprint replicas.(s) in
-                let members =
-                  match Hashtbl.find_opt groups fp with
-                  | Some l -> l
-                  | None -> []
-                in
-                Hashtbl.replace groups fp (s :: members)
-              end
-            done;
-            if Hashtbl.length groups > 1 then begin
-              let best =
-                Hashtbl.fold
-                  (fun fp members acc ->
-                    let size = List.length members in
-                    let low = List.fold_left min max_int members in
-                    match acc with
-                    | Some (_, bsize, blow)
-                      when size < bsize || (size = bsize && low > blow) ->
-                      acc
-                    | _ -> Some (fp, size, low))
-                  groups None
-              in
-              let ref_fp =
-                match best with Some (fp, _, _) -> fp | None -> assert false
-              in
-              for s = 0 to z - 1 do
-                if
-                  alive s && synced.(s)
-                  && Step.fingerprint replicas.(s) <> ref_fp
-                then synced.(s) <- false
-              done
-            end;
-            (* Desync accounting extends the fault epoch. *)
-            if exists_src z (fun s -> alive s && not synced.(s)) then
-              slot_faulty := true;
-            (* Recovery: cold restart if no synced station remains,
-               then boundary resync toward the reference. *)
-            let pick_reference () =
-              let rec go s =
-                if s >= z then None
-                else if alive s && synced.(s) then Some s
-                else go (s + 1)
-              in
-              go 0
-            in
-            (match pick_reference () with
-            | Some _ -> ()
-            | None -> (
-              let rec first_alive s =
-                if s >= z then None else if alive s then Some s else first_alive (s + 1)
-              in
-              match first_alive 0 with
-              | None -> ()
-              | Some s ->
-                replicas.(s) <- { Step.init with Step.reft = next_free };
-                synced.(s) <- true));
-            (match pick_reference () with
-            | Some r when Step.at_boundary replicas.(r) ->
-              for s = 0 to z - 1 do
-                if alive s && not synced.(s) then begin
-                  replicas.(s) <- { (replicas.(r)) with Step.rank = 0 };
-                  synced.(s) <- true
-                end
-              done
-            | Some _ | None -> ());
-            (* Epoch note (the harness does this after [after]). *)
-            let nd' =
-              {
-                time = next_free;
-                arr = !arr;
-                queues;
-                replicas;
-                synced;
-                crashed;
-                budget;
-                epochs = nd.epochs;
-                epoch_open = nd.epoch_open;
-              }
-            in
-            let nd' =
-              if !slot_faulty then note_epoch nd' ~start:now ~finish:next_free
-              else nd'
-            in
-            (* --- invariants --- *)
-            let violation = ref None in
-            let set v = if !violation = None then violation := Some v in
-            (* Slot accounting: every live synced replica structurally
-               well-formed. *)
-            for s = 0 to z - 1 do
-              if alive s && synced.(s) then
-                match Step.wf sys.params ~source:s replicas.(s) with
-                | Ok () -> ()
-                | Error reason ->
-                  set (Wf_error { time = next_free; source = s; reason })
-            done;
-            (* Lockstep among live synced replicas. *)
-            (match pick_reference () with
-            | None -> ()
-            | Some r ->
-              let ref_fp = Step.fingerprint replicas.(r) in
-              for s = 0 to z - 1 do
-                if alive s && synced.(s) then begin
-                  let fp = Step.fingerprint replicas.(s) in
-                  if fp <> ref_fp then
-                    set
-                      (Lockstep_broken
-                         {
-                           time = next_free;
-                           reference = r;
-                           source = s;
-                           ref_fp;
-                           fp;
-                         })
-                end
-              done;
-              (* Resync within one tree epoch: no live station may still
-                 be desynchronized once the reference reached a
-                 boundary (recovery must have fired this very slot). *)
-              if Step.at_boundary replicas.(r) then
-                for s = 0 to z - 1 do
-                  if alive s && not synced.(s) then
-                    set (Missed_resync { time = next_free; source = s })
-                done);
-            (* Timeliness: a completed frame past its deadline must be
-               excused by an overlapping fault epoch (TRC-DEADLINE /
-               TRC-DEGRADED semantics of Trace_check). *)
-            (match !completion with
-            | None -> ()
-            | Some (m, start, finish) ->
-              let dm = Message.abs_deadline m in
-              if finish > dm && not (inside_epoch nd' ~t0:start ~dm ~finish)
-              then
-                set
-                  (Deadline_miss
-                     {
-                       time = now;
-                       source = m.Message.cls.Message.cls_source;
-                       uid = m.Message.uid;
-                       finish;
-                       deadline = dm;
-                     }));
-            match !violation with
-            | Some v -> Violating v
-            | None -> Stepped nd'))
-      end)
+            Error (Printf.sprintf "source %d transmitted from an empty queue" src))
+      in
+      match completion with
+      | Error reason -> Violating (Model_error { time = now; reason })
+      | Ok completion -> (
+        let replicas = Replicas.copy nd.replicas in
+        match
+          Replicas.liveness replicas ~alive ~crash:ignore ~rejoin:ignore;
+          Replicas.split_and_step sys.params replicas ~observed ~resolution
+            ~next_free;
+          Replicas.detect_divergence replicas ~alive ~desync:ignore
+            ~mark_desync:(fun _ -> faulty := true);
+          Replicas.recover replicas ~alive ~next_free ~resync:(fun _ ~from:_ ->
+              ())
+        with
+        | exception Ddcr.Protocol_violation reason ->
+          Violating (Protocol_error { time = now; reason })
+        | () ->
+          let epochs =
+            if !faulty then Harness.note_epoch nd.epochs ~start:now ~finish:next_free
+            else nd.epochs
+          in
+          check_invariants sys
+            { time = next_free; arr = !arr; queues; replicas; budget; epochs }
+            ~alive ~now ~completion)
+    end
   end
 
 (* Canonical state key for dedup: every field that influences any
    future transition or invariant, serialized into one string.  Two
    nodes with equal keys have identical futures, so the explorer keeps
-   only the first trail that reaches each key. *)
+   only the first trail that reaches each key.  A listen-only station
+   has no replica worth keying: it is replaced wholesale on resync. *)
 let key nd =
   let b = Buffer.create 256 in
   Buffer.add_string b (string_of_int nd.time);
@@ -519,17 +329,19 @@ let key nd =
   Buffer.add_string b (string_of_int nd.arr);
   Buffer.add_char b '|';
   Buffer.add_string b (string_of_int nd.budget);
-  Array.iteri
-    (fun s st ->
-      Buffer.add_char b '|';
-      Buffer.add_string b (string_of_int s);
-      Buffer.add_char b (if nd.synced.(s) then 's' else 'd');
-      Buffer.add_char b (if nd.crashed.(s) then 'x' else 'a');
+  for s = 0 to Array.length nd.queues - 1 do
+    Buffer.add_char b '|';
+    Buffer.add_string b (string_of_int s);
+    Buffer.add_char b (if crashed nd s then 'x' else 'a');
+    if synced nd s then begin
+      let st = Replicas.state nd.replicas s in
+      Buffer.add_char b 's';
       Buffer.add_string b (Step.fingerprint st);
       Buffer.add_char b '#';
       Buffer.add_string b (string_of_int st.Step.rank);
-      Buffer.add_char b (if st.Step.last_out then 'o' else '-'))
-    nd.replicas;
+      Buffer.add_char b (if st.Step.last_out then 'o' else '-')
+    end
+  done;
   Array.iter
     (fun q ->
       Buffer.add_char b '|';
@@ -542,8 +354,5 @@ let key nd =
   Buffer.add_char b '|';
   List.iter
     (fun (s, e) -> Buffer.add_string b (Printf.sprintf "[%d,%d)" s e))
-    nd.epochs;
-  (match nd.epoch_open with
-  | Some (s, e) -> Buffer.add_string b (Printf.sprintf "o[%d,%d)" s e)
-  | None -> ());
+    (Harness.epoch_list nd.epochs);
   Buffer.contents b

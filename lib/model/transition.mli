@@ -1,20 +1,21 @@
 (** The model's transition relation: one contention slot of the whole
     system as a pure function of (node, fault action).
 
-    A {!node} is a complete system configuration — per-source
-    {!Rtnet_core.Ddcr.Step} replica states, EDF queues, sync/liveness
-    flags, the remaining fault budget and the fault-epoch ledger.  The
-    {!step} function mirrors, piece for piece, what
-    {!Rtnet_mac.Harness.run} driving [Ddcr.run_trace] does in one slot:
-    deliver arrivals, collect decisions, resolve the channel, compute
-    each source's {e local} observation, pop the completed frame,
-    advance every live synced replica on its own observation, detect
-    divergence by fingerprint plurality, recover (cold restart,
-    boundary resync) and extend the fault epoch.  Every deterministic
-    piece {e reuses the production code} ([Step.decide]/[Step.observe],
-    the channel's arbitration rule, [Harness.misperceived_view]); what
-    the simulator samples randomly is the explorer's branching choice —
-    at most one fault {!action} per slot.
+    A {!node} is a complete system configuration — the simulator's
+    replica system ({!Rtnet_core.Ddcr.Replicas}: replica groups, ranks,
+    liveness), EDF queues, the remaining fault budget and the
+    fault-epoch ledger.  {!step} runs one slot with the production
+    code: [Replicas.decide], {!Rtnet_channel.Channel.resolve},
+    [Harness.misperceived_view], then [Replicas.liveness],
+    [split_and_step], [detect_divergence] and [recover] on a copy of
+    the node's replicas, [Harness.note_epoch] and
+    [Trace_check.inside_epoch] — exactly the calls
+    [Ddcr.run_trace] makes under a fault plan.  Four things are
+    model-local: enabling each fault action, arrival delivery, the
+    completion pop, and the invariant checks and dedup key (read off
+    the replica system).  What the simulator samples randomly is the
+    explorer's branching choice — at most one fault {!action} per
+    slot.
 
     A node therefore corresponds exactly to one reachable configuration
     of the simulator under some scheduled fault plan, which is what
@@ -32,14 +33,19 @@ type node = {
   time : int;  (** start of the next contention slot, bit-times *)
   arr : int;  (** [arrivals.(i)] for [i < arr] have been delivered *)
   queues : Rtnet_edf.Edf_queue.t array;
-  replicas : Rtnet_core.Ddcr.Step.state array;
-  synced : bool array;
-  crashed : bool array;
-      (** inside a model crash (an explicit [Revive] ends it) *)
+  replicas : Rtnet_core.Ddcr.Replicas.t;
+      (** never mutated: {!step} steps a copy *)
   budget : int;  (** remaining fault actions *)
-  epochs : (int * int) list;  (** closed fault epochs, most recent first *)
-  epoch_open : (int * int) option;  (** the growing current epoch *)
+  epochs : Rtnet_mac.Harness.epochs;  (** the fault-epoch ledger *)
 }
+
+val crashed : node -> int -> bool
+(** [crashed nd s]: [s] is inside a model crash (an explicit [Revive]
+    ends it). *)
+
+val synced : node -> int -> bool
+(** [synced nd s]: [s] holds a replica of the shared state (neither
+    crashed nor listen-only). *)
 
 type action =
   | No_fault
@@ -112,4 +118,5 @@ val step : sys -> node -> action -> step_result
 val key : node -> string
 (** Canonical dedup key: every field that influences any future
     transition or invariant, serialized into one string.  Two nodes
-    with equal keys have identical futures. *)
+    with equal keys have identical futures.  Listen-only stations
+    contribute no replica state: theirs is replaced on resync. *)
