@@ -101,8 +101,9 @@ topo-faults-smoke: build
 # --check-perfetto (with the corrupted-flow fixture asserted to exit
 # 1), an attached-but-disabled flight recorder must cost within noise
 # of no recorder at all (Bechamel guard), and the perf_v1 campaign
-# must reproduce the metrics frozen in BENCH_perf.json (the slots/sec
-# trajectory rides in its stripped "perf" section).
+# must reproduce the deterministic DDCR/TDMA cell metrics frozen in
+# BENCH_perf.json (wall-clock performance is perfbench's job: see
+# bench-smoke).
 obs-smoke: build
 	dune build @obs-smoke
 	dune exec bench/obs_guard.exe
@@ -164,7 +165,9 @@ bench-smoke:
 	done
 
 # Refresh the committed campaign baselines after an intentional
-# behaviour change (review the diff before committing!).
+# behaviour change (review the diff before committing!).  perf_v1 keeps
+# --profile because its committed cells carry per-cell telemetry
+# snapshots, which are part of its fingerprint.
 campaign-baseline: build
 	dune exec bin/ddcr_campaign.exe -- run campaign_v1 -j 2 --quiet \
 	  -o BENCH_campaign_v1.json

@@ -8,6 +8,7 @@
 
 module Table = Rtnet_util.Table
 module Xi = Rtnet_core.Xi
+module Figures = Rtnet_core.Figures
 module Multi_tree = Rtnet_core.Multi_tree
 module Tree_search = Rtnet_core.Tree_search
 module Ddcr = Rtnet_core.Ddcr
@@ -30,49 +31,45 @@ let ms = 1_000_000
 let section title =
   Printf.printf "\n================ %s ================\n%!" title
 
+(* A figure table's numeric column read back, so that each verdict
+   speaks about exactly the printed numbers. *)
+let floats tab name = List.map float_of_string (Table.column tab name)
+
 (* E1 / Fig. 1: worst-case search times for a 64-leaf balanced
-   quaternary tree — exact xi and the asymptotic tight bound. *)
+   quaternary tree — exact xi and the asymptotic tight bound, which
+   must dominate xi on [2, 2t/m] = [2, 32]. *)
 let fig1 () =
   section "E1 (Fig. 1): 64-leaf quaternary tree: xi and its asymptote";
-  let m = 4 and t = 64 in
-  let tab = Xi.table ~m ~t in
-  let out = Table.create [ "k"; "xi_k^64"; "xi~_k^64"; "gap" ] in
-  for k = 0 to t do
-    let tilde =
-      if k >= 2 then Printf.sprintf "%.2f" (Xi.tilde ~m ~t (float_of_int k))
-      else "-"
-    in
-    let gap =
-      if k >= 2 then
-        Printf.sprintf "%.2f" (Xi.tilde ~m ~t (float_of_int k) -. float_of_int tab.(k))
-      else "-"
-    in
-    Table.add_row out [ string_of_int k; string_of_int tab.(k); tilde; gap ]
-  done;
-  Table.print out;
-  Printf.printf "concave asymptote, exact at k = 2*4^i; max gap (even k) = %.3f <= 9.54%% * t = %.3f\n"
-    (Xi.max_gap ~m ~t)
-    (Xi.gap_bound_universal *. float_of_int t)
+  let tab = Figures.fig1 () in
+  Table.print tab;
+  let gaps =
+    List.filter_map
+      (fun (k, (xi, tilde)) ->
+        let k = int_of_string k in
+        if k >= 2 && k <= 32 then Some (k, float_of_string tilde -. xi)
+        else None)
+      (List.combine (Table.column tab "k")
+         (List.combine (floats tab "xi_exact") (Table.column tab "xi_asymptotic")))
+  in
+  let max_even =
+    List.fold_left
+      (fun acc (k, g) -> if k mod 2 = 0 then Float.max acc g else acc)
+      0. gaps
+  in
+  let bound = Xi.gap_bound_universal *. 64. in
+  Printf.printf
+    "asymptote >= xi on k in [2,32]: %b; max gap (even k) = %.3f <= 9.54%% * t \
+     = %.3f: %b\n"
+    (List.for_all (fun (_, g) -> g >= 0.) gaps)
+    max_even bound (max_even <= bound)
 
 (* E2 / Fig. 2: binary vs quaternary on 64 leaves. *)
 let fig2 () =
   section "E2 (Fig. 2): 64-leaf binary vs quaternary trees";
-  let b = Xi.table ~m:2 ~t:64 and q = Xi.table ~m:4 ~t:64 in
-  let out = Table.create [ "k"; "xi (m=2)"; "xi (m=4)"; "quaternary wins" ] in
-  let dominated = ref true in
-  for k = 2 to 64 do
-    if q.(k) > b.(k) then dominated := false;
-    Table.add_row out
-      [
-        string_of_int k;
-        string_of_int b.(k);
-        string_of_int q.(k);
-        (if q.(k) <= b.(k) then "yes" else "NO");
-      ]
-  done;
-  Table.print out;
+  let tab = Figures.fig2 () in
+  Table.print tab;
   Printf.printf "paper's claim (quaternary <= binary for all k in [2,64]): %b\n"
-    !dominated
+    (List.for_all2 ( <= ) (floats tab "xi_quaternary") (floats tab "xi_binary"))
 
 (* E3: the closed-form special values Eq. 5-7 across tree shapes. *)
 let eq5_7 () =
@@ -91,56 +88,26 @@ let eq5_7 () =
 (* E4: tightness of the asymptote, Eq. 12-14. *)
 let tightness () =
   section "E4 (Eq. 12-14): tightness of the asymptotic bound";
-  let out =
-    Table.create
-      [ "m"; "t"; "max gap (even k)"; "Eq.13 bound"; "Eq.14 bound"; "holds" ]
-  in
-  List.iter
-    (fun (m, n) ->
-      let t = Rtnet_util.Int_math.pow m n in
-      let gap = Xi.max_gap ~m ~t in
-      let b13 = Xi.gap_bound ~m *. float_of_int t in
-      let b14 = Xi.gap_bound_universal *. float_of_int t in
-      Table.add_row out
-        [
-          string_of_int m;
-          string_of_int t;
-          Printf.sprintf "%.3f" gap;
-          Printf.sprintf "%.3f" b13;
-          Printf.sprintf "%.3f" b14;
-          (if gap <= b13 +. 1e-9 && gap <= b14 +. 1e-9 then "yes" else "NO");
-        ])
-    [ (2, 6); (2, 10); (3, 4); (3, 6); (4, 3); (4, 5); (5, 4); (8, 3); (9, 3) ];
-  Table.print out
+  let tab = Figures.tightness () in
+  Table.print tab;
+  let gap = floats tab "max_gap" in
+  Printf.printf "Eq. 13 and Eq. 14 hold on all %d tree shapes: %b\n"
+    (List.length gap)
+    (List.for_all2 ( <= ) gap (floats tab "eq13_bound")
+    && List.for_all2 ( <= ) gap (floats tab "eq14_bound"))
 
 (* E5: problem P2 — analytic bound vs exhaustive optimisation. *)
 let p2 () =
   section "E5 (Eq. 16-19): multi-tree worst case, bound vs exhaustive";
-  let out =
-    Table.create
-      [ "m"; "t"; "v"; "u"; "exhaustive max"; "Eq.19 bound"; "slack" ]
+  let tab = Figures.p2 () in
+  Table.print tab;
+  let slack =
+    List.map2 ( -. ) (floats tab "bound") (floats tab "exhaustive")
   in
-  List.iter
-    (fun (m, t, v) ->
-      List.iter
-        (fun u ->
-          if u >= 2 * v && u <= t * v then begin
-            let exact = Multi_tree.worst_exact ~m ~t ~u ~v in
-            let bound = Multi_tree.bound ~m ~t ~u ~v in
-            Table.add_row out
-              [
-                string_of_int m;
-                string_of_int t;
-                string_of_int v;
-                string_of_int u;
-                string_of_int exact;
-                Printf.sprintf "%.2f" bound;
-                Printf.sprintf "%.2f" (bound -. float_of_int exact);
-              ]
-          end)
-        [ 2 * v; 3 * v; 4 * v; 6 * v; 8 * v ])
-    [ (2, 8, 2); (2, 8, 4); (4, 16, 2); (4, 16, 4); (3, 27, 3) ];
-  Table.print out
+  Printf.printf "Eq. 18 bound >= exhaustive on all %d rows: %b; max slack %.6f\n"
+    (List.length slack)
+    (List.for_all (fun s -> s >= 0.) slack)
+    (List.fold_left Float.max 0. slack)
 
 (* E6: feasibility-condition validation — simulated worst latency under
    the greedy peak-load adversary vs the analytical bounds. *)

@@ -25,11 +25,6 @@ type t = {
   spec : Spec.t;
   jobs : int;  (** worker count of the producing run (timing metadata) *)
   wall_clock_s : float;  (** coordinator wall-clock (timing metadata) *)
-  perf : Rtnet_util.Json.t option;
-      (** perf-counter section ([Rtnet_obs.Perf.to_json]: slots/sec
-          headline, GC allocation words, per-phase wall timing) —
-          recorded by profiled runs, timing metadata like [jobs]:
-          stripped from fingerprints, absent sections tolerated *)
   cells : cell_entry list;  (** sorted by [ce_index] *)
 }
 
@@ -41,7 +36,9 @@ val to_json : t -> Rtnet_util.Json.t
 val of_json : Rtnet_util.Json.t -> (t, string) result
 (** Rejects unknown schema versions and reports whose stored
     [spec_hash] does not match the embedded spec (a hand-edited or
-    corrupted baseline). *)
+    corrupted baseline).  Unknown top-level keys are ignored, so an
+    older report that still carries a wall-clock ["perf"] section
+    loads, and fingerprints, as if the section were absent. *)
 
 val write : path:string -> t -> unit
 (** [write ~path r] pretty-prints the report to [path]
@@ -50,9 +47,8 @@ val write : path:string -> t -> unit
 val load : path:string -> (t, string) result
 
 val strip_timings : Rtnet_util.Json.t -> Rtnet_util.Json.t
-(** Remove every timing field ([elapsed_s], [wall_clock_s], [jobs],
-    the whole [perf] section) at any depth, leaving only the
-    deterministic content. *)
+(** Remove every timing field ([elapsed_s], [wall_clock_s], [jobs]) at
+    any depth, leaving only the deterministic content. *)
 
 val fingerprint : t -> string
 (** Hex digest of the canonical timing-stripped JSON.  Two runs of the

@@ -45,6 +45,11 @@ val config_to_json :
 val config_of_json :
   Rtnet_util.Json.t ->
   ((Subject.Plain.env, Subject.Plain.sampler) config, string) result
+(** Inverse of {!config_to_json}; decodes plain search configs only.
+    Topology and admission searches are built from command-line flags
+    ([ddcr_chaos search --topo-segments] / [--admit-params]), which is
+    why [ddcr_chaos] rejects [--config] combined with either flag.  No
+    caller needs a config decoder generic over {!Subject.S}. *)
 
 val load_config :
   string -> ((Subject.Plain.env, Subject.Plain.sampler) config, string) result

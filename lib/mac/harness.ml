@@ -157,7 +157,10 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
   let completions = ref [] in
   let dropped = ref [] in
   let arrivals = ref (List.sort arrival_order trace) in
+  (* Arrivals at or after the horizon stay undelivered, whoever asks:
+     a burst may reach past the horizon, but the run ends there. *)
   let deliver now =
+    let now = min now (horizon - 1) in
     let rec go = function
       | m :: rest when m.Message.arrival <= now ->
         let s = m.Message.cls.Message.cls_source in

@@ -45,7 +45,9 @@ type services = {
           harness already does this at every slot boundary, but a
           protocol extending an acquisition (packet bursting) must call
           it before choosing each continuation frame so the EDF ranking
-          sees messages that arrived mid-acquisition *)
+          sees messages that arrived mid-acquisition.  Arrivals at or
+          after the horizon are never enqueued, so they are never
+          reported unfinished. *)
   iter_backlog : (int -> unit) -> unit;
       (** [iter_backlog f] calls [f] on every source whose EDF queue is
           non-empty, in ascending source order — the only sources with

@@ -25,6 +25,15 @@ let add_row tbl cells =
 
 let add_int_row tbl cells = add_row tbl (List.map string_of_int cells)
 
+let column tbl name =
+  let rec index i =
+    if i = Array.length tbl.header then raise Not_found
+    else if tbl.header.(i) = name then i
+    else index (i + 1)
+  in
+  let i = index 0 in
+  List.rev_map (fun row -> row.(i)) tbl.rows
+
 let widths tbl =
   let w = Array.map String.length tbl.header in
   let widen row =

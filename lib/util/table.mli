@@ -19,6 +19,11 @@ val add_row : t -> string list -> unit
 val add_int_row : t -> int list -> unit
 (** [add_int_row tbl cells] appends a row of integers. *)
 
+val column : t -> string -> string list
+(** [column tbl name] is the cells of the column headed [name], top to
+    bottom.
+    @raise Not_found if no column has that header. *)
+
 val render : t -> string
 (** [render tbl] is the aligned, boxed text rendering. *)
 

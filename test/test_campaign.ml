@@ -759,6 +759,70 @@ let test_compare_rejects_mismatched_specs () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "cross-spec comparison accepted")
 
+(* -------------------- report codec -------------------- *)
+
+let fixture name = Filename.concat "fixtures" name
+
+(* Reports written before the wall-clock "perf" section was dropped
+   must keep gating: the key loads, is ignored, and leaves the
+   fingerprint of the same report without it. *)
+let test_report_legacy_perf_ignored () =
+  with_tmp_dir (fun dir ->
+      let path = fixture "BENCH_smoke_golden.json" in
+      let legacy = Filename.concat dir "legacy.json" in
+      (match Json.parse_file path with
+      | Ok (Json.Obj fields) ->
+        let perf =
+          Json.Obj
+            [
+              ("slots", Json.Int 20_000_000);
+              ("alloc_words", Json.Float 147933.);
+              ("phases", Json.List []);
+            ]
+        in
+        Json.to_file legacy
+          (Json.Obj
+             (List.concat_map
+                (fun (k, v) ->
+                  if k = "wall_clock_s" then [ (k, v); ("perf", perf) ]
+                  else [ (k, v) ])
+                fields))
+      | _ -> Alcotest.fail "golden is not an object");
+      match (Report.load ~path, Report.load ~path:legacy) with
+      | Ok plain, Ok with_perf ->
+        Alcotest.(check string) "fingerprint unchanged"
+          (Report.fingerprint plain) (Report.fingerprint with_perf);
+        Alcotest.(check bool) "perf key not re-emitted" true
+          (Json.member "perf" (Report.to_json with_perf) = None)
+      | Error e, _ | _, Error e -> Alcotest.fail e)
+
+(* Every proper prefix of a committed report is an [Error] from
+   [Report.load], never an exception. *)
+let test_report_decoding_total () =
+  with_tmp_dir (fun dir ->
+      let cut = Filename.concat dir "cut.json" in
+      List.iter
+        (fun name ->
+          let text =
+            String.trim
+              (In_channel.with_open_bin (fixture name) In_channel.input_all)
+          in
+          for k = 0 to String.length text - 1 do
+            Out_channel.with_open_bin cut (fun oc ->
+                Out_channel.output_string oc (String.sub text 0 k));
+            match Report.load ~path:cut with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "%s cut at %d: accepted" name k
+            | exception e ->
+              Alcotest.failf "%s cut at %d: raised %s" name k
+                (Printexc.to_string e)
+          done)
+        [
+          "BENCH_smoke_golden.json";
+          "BENCH_topology_sweep.json";
+          "BENCH_topology_fault_sweep.json";
+        ])
+
 let suite =
   [
     ( "campaign",
@@ -811,5 +875,9 @@ let suite =
         Alcotest.test_case "regression gate" `Quick test_compare_gate;
         Alcotest.test_case "cross-spec compare" `Quick
           test_compare_rejects_mismatched_specs;
+        Alcotest.test_case "legacy perf section ignored" `Quick
+          test_report_legacy_perf_ignored;
+        Alcotest.test_case "report decoding total on cuts" `Quick
+          test_report_decoding_total;
       ] );
   ]

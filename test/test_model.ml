@@ -340,10 +340,9 @@ let random_walk rng sys ~budget ~slots =
    same stations synced, complete the same frames in the same order,
    leave the same frames of each source queued or undelivered, and
    record the same fault epochs as the model's final node.  (Queued and
-   undelivered frames that arrived before that boundary are compared
-   as one set per source: the simulator delivers the arrivals that fall
-   inside a carried frame at the frame's end, the model at the next
-   slot.) *)
+   undelivered frames are compared as one set per source: the simulator
+   delivers the arrivals that fall inside a carried frame at the frame's
+   end, the model at the next slot.) *)
 let run_model_vs_simulator ~seed =
   let rng = Prng.create seed in
   let inst =
@@ -384,15 +383,14 @@ let run_model_vs_simulator ~seed =
        (fun c -> c.Rtnet_stats.Run.c_msg.Message.uid)
        o.Rtnet_stats.Run.completions);
   let by_source msgs s =
-    List.filter
-      (fun m -> m.Message.cls.Message.cls_source = s && m.Message.arrival < until)
-      msgs
+    List.filter (fun m -> m.Message.cls.Message.cls_source = s) msgs
     |> List.map (fun m -> m.Message.uid)
     |> List.sort compare
   in
+  (* The model's trace runs past [until]; the simulator's stops there. *)
   let pending =
     Array.to_list sys.Transition.arrivals
-    |> List.filteri (fun i _ -> i >= nd.Transition.arr)
+    |> List.filteri (fun i m -> i >= nd.Transition.arr && m.Message.arrival < until)
   in
   Array.iteri
     (fun s q ->

@@ -22,7 +22,10 @@ let test_int_rows () =
   Table.add_int_row t [ 2; 11 ];
   Table.add_int_row t [ 3; 10 ];
   let csv = Table.to_csv t in
-  Alcotest.(check string) "csv" "k,xi\n2,11\n3,10\n" csv
+  Alcotest.(check string) "csv" "k,xi\n2,11\n3,10\n" csv;
+  Alcotest.(check (list string)) "column" [ "11"; "10" ] (Table.column t "xi");
+  Alcotest.check_raises "unknown column" Not_found (fun () ->
+      ignore (Table.column t "nope"))
 
 let test_csv_escaping () =
   let t = Table.create [ "a"; "b" ] in
