@@ -167,7 +167,8 @@ bench-smoke:
 # Refresh the committed campaign baselines after an intentional
 # behaviour change (review the diff before committing!).  perf_v1 keeps
 # --profile because its committed cells carry per-cell telemetry
-# snapshots, which are part of its fingerprint.
+# snapshots; the fingerprint (5d0da3cf...) strips them, so it is the
+# same with or without --profile.
 campaign-baseline: build
 	dune exec bin/ddcr_campaign.exe -- run campaign_v1 -j 2 --quiet \
 	  -o BENCH_campaign_v1.json

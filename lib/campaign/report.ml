@@ -92,7 +92,10 @@ let load ~path =
   Result.map_error (fun e -> Printf.sprintf "%s: %s" path e)
     (Result.bind (Json.parse_file path) of_json)
 
-let timing_keys = [ "elapsed_s"; "wall_clock_s"; "jobs" ]
+(* Keys outside the deterministic content: the timings, and the per-cell
+   telemetry snapshot that only [--profile] writes — an observability
+   flag must not change the fingerprint. *)
+let timing_keys = [ "elapsed_s"; "wall_clock_s"; "jobs"; "telemetry" ]
 
 let rec strip_timings = function
   | Json.Obj kvs ->

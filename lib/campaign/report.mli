@@ -5,9 +5,10 @@
     the run's timing metadata into one JSON document.  Everything
     except the timing fields ([elapsed_s] per cell, [wall_clock_s] and
     [jobs] at the top) is a pure function of the spec, so
-    {!fingerprint} — a digest of the canonical JSON with timings
-    stripped — is identical across [-j 1] and [-j 8] runs, across
-    resumed runs, and across machines.
+    {!fingerprint} — a digest of the canonical JSON with timings and
+    the optional per-cell [telemetry] snapshots stripped — is identical
+    across [-j 1] and [-j 8] runs, across resumed runs, across
+    machines, and with or without [--profile].
 
     {!compare_reports} is the regression gate: it matches cells of a
     fresh report against a stored baseline by {!Grid.key} and flags
@@ -47,8 +48,9 @@ val write : path:string -> t -> unit
 val load : path:string -> (t, string) result
 
 val strip_timings : Rtnet_util.Json.t -> Rtnet_util.Json.t
-(** Remove every timing field ([elapsed_s], [wall_clock_s], [jobs]) at
-    any depth, leaving only the deterministic content. *)
+(** Remove every timing field ([elapsed_s], [wall_clock_s], [jobs]) and
+    every per-cell [telemetry] snapshot (written only under
+    [--profile]) at any depth, leaving only the deterministic content. *)
 
 val fingerprint : t -> string
 (** Hex digest of the canonical timing-stripped JSON.  Two runs of the

@@ -400,42 +400,104 @@ let spec_of_json j =
 (* chain, [1] wire-garble draws, [2; source] source's misperception   *)
 (* draws — so every random process is independent of the others and   *)
 (* the draws of different sources never interleave.                   *)
+(*                                                                    *)
+(* [create] compiles the spec once: every rate becomes a [Prng]       *)
+(* threshold, crash windows and scheduled atoms become sorted arrays   *)
+(* searched by bisection, and the per-source streams sit in an array.  *)
+(* A query then allocates nothing and answers any [now], in any order. *)
 
-type ge_state = Good | Bad
+type garble_th =
+  | No_garble
+  | Iid_th of int
+  | Ge_th of { enter : int; leave : int; good : int; bad : int }
 
 type t = {
   sp : spec;
   seed : int;
   state_rng : Prng.t;
   garble_rng : Prng.t;
-  mutable state : ge_state;
-  obs_rngs : (int, Prng.t) Hashtbl.t;
+  garble : garble_th;
+  mutable in_bad : bool;  (* Gilbert–Elliott state: false = good *)
+  mis_th : int;  (* 0 iff the misperception rate is 0: no draw *)
+  mutable obs_rngs : Prng.t array;  (* per source, grown on demand *)
+  crash_from : int array array;  (* per source, ascending *)
+  crash_until : int array array;  (* per source, aligned with [crash_from] *)
+  edges : int array;  (* every crash-window bound, ascending, distinct *)
+  garbles_at : int array;  (* ascending *)
+  misperceive_at : int array array;  (* per source, ascending *)
 }
+
+(* [count_le a x] is the number of elements of the ascending [a] that
+   are [<= x].  [bisect] is top-level so that a search allocates no
+   closure. *)
+let rec bisect (a : int array) x lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if a.(mid) <= x then bisect a x (mid + 1) hi else bisect a x lo mid
+
+let count_le a x = bisect a x 0 (Array.length a)
+
+let mem_sorted a x =
+  let i = count_le a x in
+  i > 0 && a.(i - 1) = x
+
+let per_source n entries =
+  let tbl = Array.make n [] in
+  List.iter (fun (s, v) -> tbl.(s) <- v :: tbl.(s)) entries;
+  Array.map (fun vs -> Array.of_list (List.sort compare vs)) tbl
+
+let sources_of entries = 1 + List.fold_left (fun m (s, _) -> max m s) (-1) entries
 
 let create ?horizon ~seed sp =
   (match validate ?horizon sp with
   | Ok () -> ()
   | Error e -> invalid_arg ("Fault_plan.create: " ^ e));
+  let windows =
+    List.map (fun w -> (w.cw_source, (w.cw_from, w.cw_until))) sp.sp_crashes
+  in
+  let by_source = per_source (sources_of windows) windows in
+  let misperceive_at =
+    per_source (sources_of sp.sp_misperceive_at) sp.sp_misperceive_at
+  in
   {
     sp;
     seed;
     state_rng = Prng.stream ~seed ~path:[ 0 ];
     garble_rng = Prng.stream ~seed ~path:[ 1 ];
-    state = Good;
-    obs_rngs = Hashtbl.create 8;
+    garble =
+      (match sp.sp_garble with
+      | None -> No_garble
+      | Some (Iid { rate }) -> Iid_th (Prng.threshold rate)
+      | Some (Gilbert_elliott { p_enter; p_exit; rate_good; rate_bad }) ->
+        Ge_th
+          {
+            enter = Prng.threshold p_enter;
+            leave = Prng.threshold p_exit;
+            good = Prng.threshold rate_good;
+            bad = Prng.threshold rate_bad;
+          });
+    in_bad = false;
+    mis_th = Prng.threshold sp.sp_misperception;
+    obs_rngs = [||];
+    crash_from = Array.map (Array.map fst) by_source;
+    crash_until = Array.map (Array.map snd) by_source;
+    edges =
+      Array.of_list
+        (List.sort_uniq compare
+           (List.concat_map (fun w -> [ w.cw_from; w.cw_until ]) sp.sp_crashes));
+    garbles_at = Array.of_list sp.sp_garbles_at;
+    misperceive_at;
   }
 
 let spec t = t.sp
 
 let tick t =
-  match t.sp.sp_garble with
-  | None | Some (Iid _) -> ()
-  | Some (Gilbert_elliott { p_enter; p_exit; _ }) ->
-    let u = Prng.float t.state_rng 1.0 in
-    t.state <-
-      (match t.state with
-      | Good -> if u < p_enter then Bad else Good
-      | Bad -> if u < p_exit then Good else Bad)
+  match t.garble with
+  | No_garble | Iid_th _ -> ()
+  | Ge_th { enter; leave; _ } ->
+    if Prng.below t.state_rng (if t.in_bad then leave else enter) then
+      t.in_bad <- not t.in_bad
 
 (* The random draw happens iff the random process is configured — never
    skipped because a scheduled atom already fires — so adding scheduled
@@ -443,33 +505,37 @@ let tick t =
    every existing fixture) untouched. *)
 let wire_garbles t ~now =
   let drawn =
-    match t.sp.sp_garble with
-    | None -> false
-    | Some (Iid { rate }) -> Prng.float t.garble_rng 1.0 < rate
-    | Some (Gilbert_elliott { rate_good; rate_bad; _ }) ->
-      let rate = match t.state with Good -> rate_good | Bad -> rate_bad in
-      Prng.float t.garble_rng 1.0 < rate
+    match t.garble with
+    | No_garble -> false
+    | Iid_th th -> Prng.below t.garble_rng th
+    | Ge_th { good; bad; _ } ->
+      Prng.below t.garble_rng (if t.in_bad then bad else good)
   in
-  drawn || List.mem now t.sp.sp_garbles_at
+  drawn || mem_sorted t.garbles_at now
 
 let obs_rng t source =
-  match Hashtbl.find_opt t.obs_rngs source with
-  | Some rng -> rng
-  | None ->
-    let rng = Prng.stream ~seed:t.seed ~path:[ 2; source ] in
-    Hashtbl.add t.obs_rngs source rng;
-    rng
+  let n = Array.length t.obs_rngs in
+  if source >= n then
+    t.obs_rngs <-
+      Array.init
+        (max (source + 1) (2 * n))
+        (fun s ->
+          if s < n then t.obs_rngs.(s)
+          else Prng.stream ~seed:t.seed ~path:[ 2; s ]);
+  t.obs_rngs.(source)
 
 let misperceives t ~source ~now =
-  let drawn =
-    t.sp.sp_misperception > 0.
-    && Prng.float (obs_rng t source) 1.0 < t.sp.sp_misperception
-  in
+  let drawn = t.mis_th > 0 && Prng.below (obs_rng t source) t.mis_th in
   drawn
-  || List.exists (fun (s, at) -> s = source && at = now) t.sp.sp_misperceive_at
+  || source < Array.length t.misperceive_at
+     && mem_sorted t.misperceive_at.(source) now
 
 let alive t ~source ~now =
-  not
-    (List.exists
-       (fun w -> w.cw_source = source && now >= w.cw_from && now < w.cw_until)
-       t.sp.sp_crashes)
+  source >= Array.length t.crash_from
+  ||
+  let i = count_le t.crash_from.(source) now in
+  i = 0 || now >= t.crash_until.(source).(i - 1)
+
+let next_edge t ~now =
+  let i = count_le t.edges now in
+  if i < Array.length t.edges then t.edges.(i) else max_int

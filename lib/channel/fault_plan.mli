@@ -177,8 +177,13 @@ val spec_of_json : Rtnet_util.Json.t -> (spec, string) result
 (** {1 Instantiated plans} *)
 
 type t
-(** A sampler: [spec] plus the PRNG streams and Gilbert–Elliott state.
-    Mutable; create one per run. *)
+(** A sampler: [spec] compiled for per-slot queries, plus the PRNG
+    streams and Gilbert–Elliott state.  Every rate is held as a
+    {!Rtnet_util.Prng.threshold}, so each random decision is the same
+    draw with the same outcome as [Prng.float g 1.0 < rate]; crash
+    windows and scheduled atoms are sorted arrays.  No query below
+    allocates (past a source's first misperception draw, which creates
+    its stream).  Mutable; create one per run. *)
 
 val create : ?horizon:int -> seed:int -> spec -> t
 (** [create ~seed spec] instantiates the plan.  Streams are derived
@@ -210,4 +215,11 @@ val misperceives : t -> source:int -> now:int -> bool
 
 val alive : t -> source:int -> now:int -> bool
 (** [alive t ~source ~now] is false iff [now] falls inside one of
-    [source]'s crash windows (pure — no draw). *)
+    [source]'s crash windows (pure — no draw; any [now], in any
+    order). *)
+
+val next_edge : t -> now:int -> int
+(** [next_edge t ~now] is the first crash-window bound strictly after
+    [now] ([max_int] if none).  {!alive} answers the same for every
+    source at every time in [\[now, next_edge t ~now)], so a caller
+    refreshing liveness per slot need only do it at these edges. *)

@@ -2,6 +2,7 @@ module Message = Rtnet_workload.Message
 module Instance = Rtnet_workload.Instance
 module Channel = Rtnet_channel.Channel
 module Phy = Rtnet_channel.Phy
+module Fault_plan = Rtnet_channel.Fault_plan
 module Sink = Rtnet_telemetry.Sink
 
 exception Protocol_violation of string
@@ -599,29 +600,32 @@ module Replicas = struct
   let detect_divergence t ~alive ~desync ~mark_desync =
     let g = t.g in
     let z = sources t in
-    let digests =
-      List.map
-        (fun gr ->
-          let work = g.Groups.work in
-          work.n_fingerprints <- work.n_fingerprints + 1;
-          (gr, Step.fingerprint g.Groups.st.(gr)))
-        g.Groups.live
-    in
-    (match digests with
-    | (_, d0) :: rest when List.exists (fun (_, d) -> d <> d0) rest ->
-      let digest s =
-        if Groups.synced g s then Some (List.assq g.Groups.gid.(s) digests)
-        else None
+    (match g.Groups.live with
+    | [] | [ _ ] -> () (* one group cannot diverge: no digest needed *)
+    | live ->
+      let digests =
+        List.map
+          (fun gr ->
+            let work = g.Groups.work in
+            work.n_fingerprints <- work.n_fingerprints + 1;
+            (gr, Step.fingerprint g.Groups.st.(gr)))
+          live
       in
-      let winner = plurality ~z digest in
-      for s = 0 to z - 1 do
-        if Groups.synced g s && digest s <> winner then begin
-          Groups.leave g s;
-          desync s
-        end
-      done
-    | _ -> ());
-    Groups.merge_equal g g.Groups.live;
+      (match digests with
+      | (_, d0) :: rest when List.exists (fun (_, d) -> d <> d0) rest ->
+        let digest s =
+          if Groups.synced g s then Some (List.assq g.Groups.gid.(s) digests)
+          else None
+        in
+        let winner = plurality ~z digest in
+        for s = 0 to z - 1 do
+          if Groups.synced g s && digest s <> winner then begin
+            Groups.leave g s;
+            desync s
+          end
+        done
+      | _ -> ());
+      Groups.merge_equal g g.Groups.live);
     (* Degradation accounting: every live station sitting out this
        slot desynchronized extends the fault epoch. *)
     for s = 0 to z - 1 do
@@ -676,6 +680,9 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
   | Error e -> invalid_arg ("Ddcr.run_trace: " ^ e));
   let z = inst.Instance.num_sources in
   let plan_active = plan <> None in
+  (* Liveness only changes at crash-window edges (the harness refreshes
+     it there too); between them [Replicas.liveness] is a no-op. *)
+  let liveness_due = ref 0 in
   let reps = Replicas.create z in
   let groups = reps.Replicas.g in
   let rank = groups.Groups.rank in
@@ -865,9 +872,13 @@ let run_trace ?(check_lockstep = false) ?on_event ?fault ?plan ?analyze
         next_free
     in
     if plan_active then begin
-      Replicas.liveness reps ~alive
-        ~crash:(fun s -> emit (Ddcr_trace.Crash { time = now; source = s }))
-        ~rejoin:(fun s -> emit (Ddcr_trace.Rejoin { time = now; source = s }));
+      (match plan with
+      | Some p when now >= !liveness_due ->
+        liveness_due := Fault_plan.next_edge p ~now;
+        Replicas.liveness reps ~alive
+          ~crash:(fun s -> emit (Ddcr_trace.Crash { time = now; source = s }))
+          ~rejoin:(fun s -> emit (Ddcr_trace.Rejoin { time = now; source = s }))
+      | Some _ | None -> ());
       Replicas.split_and_step params reps
         ~observed:services.Rtnet_mac.Harness.observed ~resolution ~next_free
     end

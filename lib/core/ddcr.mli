@@ -124,7 +124,9 @@ end
     (outside this module), then {!liveness}, {!split_and_step} (or
     {!observe} under consistent observation), {!detect_divergence} and
     {!recover}.  Crash, rejoin, desync and resync are reported through
-    callbacks.  All functions mutate the value in place. *)
+    callbacks.  All functions mutate the value in place.  {!liveness}
+    is a no-op while no station's liveness changes, so {!run_trace}
+    calls it only at {!Rtnet_channel.Fault_plan.next_edge}s. *)
 module Replicas : sig
   type t
 
@@ -195,11 +197,12 @@ module Replicas : sig
     desync:(int -> unit) ->
     mark_desync:(int -> unit) ->
     unit
-  (** Compares one {!Step.fingerprint} per group: the stations whose
-      digest is off the plurality by member count (ties toward the
-      lowest id) go listen-only ([desync s]); groups left with equal
-      states merge.  Then [mark_desync s] for every live station still
-      listen-only. *)
+  (** With two or more live groups, compares one {!Step.fingerprint}
+      per group: the stations whose digest is off the plurality by
+      member count (ties toward the lowest id) go listen-only
+      ([desync s]); groups left with equal states merge.  A lone group
+      cannot diverge and is not digested.  Then [mark_desync s] for
+      every live station still listen-only. *)
 
   val recover :
     t ->
@@ -306,8 +309,10 @@ val work : unit -> work
 (** [work ()] is the replica work {!run_trace} has done on the calling
     domain so far (cumulative; take differences around a run).  Without a
     plan a run makes exactly one [observes] per slot and no
-    [fingerprints]; under a plan, one of each per replica group per
-    slot.  The [check_lockstep] oracle's own calls are not counted. *)
+    [fingerprints]; under a plan, one [observes] per replica group per
+    slot, and one [fingerprints] per replica group in each slot with
+    two or more groups.  The [check_lockstep] oracle's own calls are
+    not counted. *)
 
 val run :
   ?check_lockstep:bool ->

@@ -101,7 +101,7 @@ let misperceived_view (resolution : Channel.resolution) =
   | Channel.Clash { survivor = None; _ } -> Channel.Idle
   | Channel.Idle | Channel.Garbled _ | Channel.Clash { survivor = Some _; _ }
     ->
-    resolution
+    resolution (* itself, so callers may test [view != resolution] *)
 
 type epochs = { closed : (int * int) list; current : (int * int) option }
 
@@ -178,13 +178,23 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
     in
     go !arrivals
   in
-  (* Per-source fault bookkeeping (only populated under a plan). *)
+  (* Per-source fault bookkeeping (only populated under a plan).
+     Liveness only changes at crash-window edges, so [alive_now] is
+     refreshed when a slot reaches [liveness_due], the next edge. *)
   let alive_now = Array.make num_sources true in
+  let dead = ref 0 in
+  let liveness_due = ref 0 in
   let wire = ref Channel.Idle in
   let observed_now = Array.make num_sources Channel.Idle in
   (* [attempted_at.(s) = now]: [s] contended in the slot starting at
      [now] (slot starts strictly increase, so no reset is needed). *)
   let attempted_at = Array.make num_sources (-1) in
+  let rec mark_attempted now = function
+    | [] -> ()
+    | a :: rest ->
+      attempted_at.(a.Channel.att_source) <- now;
+      mark_attempted now rest
+  in
   let crashed_slots = Array.make num_sources 0 in
   let missed = Array.make num_sources 0 in
   let misperceived = Array.make num_sources 0 in
@@ -286,22 +296,22 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
     (match plan with
     | None -> ()
     | Some p ->
-      for s = 0 to num_sources - 1 do
-        let a = Fault_plan.alive p ~source:s ~now in
-        alive_now.(s) <- a;
-        if not a then begin
-          crashed_slots.(s) <- crashed_slots.(s) + 1;
-          slot_faulty := true
-        end
-      done);
+      if now >= !liveness_due then begin
+        liveness_due := Fault_plan.next_edge p ~now;
+        dead := 0;
+        for s = 0 to num_sources - 1 do
+          let a = Fault_plan.alive p ~source:s ~now in
+          alive_now.(s) <- a;
+          if not a then incr dead
+        done
+      end;
+      if !dead > 0 then slot_faulty := true);
     let attempts = decide services ~now in
     (* A crashed source transmits nothing, whatever the protocol's
        decision callback returned. *)
     let attempts =
-      match plan with
-      | None -> attempts
-      | Some _ ->
-        List.filter (fun a -> alive_now.(a.Channel.att_source)) attempts
+      if !dead = 0 then attempts
+      else List.filter (fun a -> alive_now.(a.Channel.att_source)) attempts
     in
     let resolution, next_free = Channel.contend channel ~now attempts in
     if telemetry then sink.Sink.slot ~now ~next_free ~resolution;
@@ -309,7 +319,7 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
     (match plan with
     | None -> () (* every source observes the wire *)
     | Some p ->
-      List.iter (fun a -> attempted_at.(a.Channel.att_source) <- now) attempts;
+      mark_attempted now attempts;
       (match resolution with
       | Channel.Garbled _ ->
         (* Wire-level noise destroyed a frame: the slot is degraded
@@ -318,6 +328,7 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
       | _ -> ());
       for s = 0 to num_sources - 1 do
         if not alive_now.(s) then begin
+          crashed_slots.(s) <- crashed_slots.(s) + 1;
           observed_now.(s) <- Channel.Idle;
           match resolution with
           | Channel.Idle -> ()
@@ -331,7 +342,7 @@ let run ~protocol ?fault ?plan ?(analyze = true) ?(sink = Sink.null)
             else resolution
           in
           observed_now.(s) <- obs;
-          if obs <> resolution then begin
+          if obs != resolution then begin
             misperceived.(s) <- misperceived.(s) + 1;
             slot_faulty := true
           end

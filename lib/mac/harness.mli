@@ -100,7 +100,9 @@ val misperceived_view :
 (** [misperceived_view resolution] is what a misperceiving listener
     decodes instead of [resolution]: a [Tx] as CRC-garbage
     ([Garbled]), a destructive [Clash] as silence ([Idle]); [Idle],
-    [Garbled] and arbitrated-survivor slots pass through unchanged.
+    [Garbled] and arbitrated-survivor slots pass through unchanged:
+    the result is [resolution] itself, so [misperceived_view r != r]
+    iff the view differs.
     Exposed so model checkers ([Rtnet_model]) apply the {e exact} same
     observation corruption the harness does. *)
 
@@ -147,7 +149,8 @@ val run :
     simulates the protocol on [trace].  Per slot, the harness:
 
     + delivers arrivals with [T <= now] into the EDF queues,
-    + under a [plan], refreshes per-source liveness (crash windows),
+    + under a [plan], refreshes per-source liveness (crash windows) at
+      each {!Rtnet_channel.Fault_plan.next_edge},
     + calls [decide], discards attempts of crashed sources, and
       resolves the slot on the channel,
     + under a [plan], computes each live source's local observation

@@ -1,23 +1,35 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes: reading and writing
+   it through [Bytes.get_int64_le]/[set_int64_le] inside an inlined
+   step keeps every intermediate [int64] in a register, so a draw
+   allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_le g 0 s;
+  g
 
-let copy g = { state = g.state }
+let create seed = of_state (Int64.of_int seed)
 
-let mix z =
+let copy = Bytes.copy
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix g.state
+let[@inline] next g =
+  let s = Int64.add (Bytes.get_int64_le g 0) golden_gamma in
+  Bytes.set_int64_le g 0 s;
+  mix s
 
-let split g =
-  let s = bits64 g in
-  { state = s }
+let bits64 g = next g
+
+let bits53 g = Int64.to_int (Int64.shift_right_logical (next g) 11)
+
+let split g = of_state (next g)
 
 let derive seed i =
   if i < 0 then invalid_arg "Prng.derive: negative index";
@@ -35,7 +47,7 @@ let int g n =
   (* Rejection sampling on the top 62 bits keeps the draw unbiased. *)
   let mask = max_int in
   let rec go () =
-    let v = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) land mask in
+    let v = Int64.to_int (Int64.shift_right_logical (next g) 2) land mask in
     let r = v mod n in
     if v - r + (n - 1) >= 0 then r else go ()
   in
@@ -43,10 +55,16 @@ let int g n =
 
 let float g x =
   if x <= 0. then invalid_arg "Prng.float: x <= 0";
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
-  x *. (v /. 9007199254740992.0 (* 2^53 *))
+  x *. (float_of_int (bits53 g) /. 9007199254740992.0 (* 2^53 *))
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
+let threshold rate =
+  if Float.is_nan rate || rate < 0. || rate > 1. then
+    invalid_arg "Prng.threshold: rate outside [0, 1]";
+  int_of_float (Float.ceil (rate *. 9007199254740992.0))
+
+let below g th = bits53 g < th
+
+let bool g = Int64.logand (next g) 1L = 1L
 
 let exponential g rate =
   if rate <= 0. then invalid_arg "Prng.exponential: rate <= 0";

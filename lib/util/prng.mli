@@ -6,7 +6,8 @@
     bound-domination tests, which must be re-runnable on failure. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, held unboxed: drawing allocates
+    nothing (except {!bits64}'s boxed result and {!float}'s). *)
 
 val create : int -> t
 (** [create seed] is a fresh generator.  Equal seeds yield equal
@@ -45,6 +46,18 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float g x] is uniform in [\[0, x)].  Requires [x > 0.]. *)
+
+val threshold : float -> int
+(** [threshold rate] is [ceil (rate * 2^53)], the integer form of a
+    probability in [\[0, 1]] for {!below}.
+    @raise Invalid_argument if [rate] is NaN or outside [\[0, 1]]. *)
+
+val below : t -> int -> bool
+(** [below g (threshold rate)] draws one output and is exactly
+    [float g 1.0 < rate]: {!float} returns [v / 2^53] for the top 53
+    bits [v] of the output, and for an integer [v], [v < rate * 2^53]
+    iff [v < ceil (rate * 2^53)].  It advances [g] the same way and
+    allocates nothing. *)
 
 val bool : t -> bool
 (** [bool g] is a fair coin flip. *)

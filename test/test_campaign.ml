@@ -796,6 +796,35 @@ let test_report_legacy_perf_ignored () =
           (Json.member "perf" (Report.to_json with_perf) = None)
       | Error e, _ | _, Error e -> Alcotest.fail e)
 
+(* [--profile] embeds a telemetry snapshot in each cell; the snapshot is
+   observability output, so it leaves the fingerprint alone. *)
+let test_report_telemetry_not_fingerprinted () =
+  match Report.load ~path:(fixture "BENCH_smoke_golden.json") with
+  | Error e -> Alcotest.fail e
+  | Ok plain -> (
+    match plain.Report.cells with
+    | first :: rest ->
+      let snapshot =
+        Json.Obj [ ("slots", Json.Int 12345); ("counters", Json.List []) ]
+      in
+      let profiled =
+        {
+          plain with
+          Report.cells =
+            {
+              first with
+              Report.ce_result =
+                { first.Report.ce_result with Grid.r_telemetry = Some snapshot };
+            }
+            :: rest;
+        }
+      in
+      Alcotest.(check bool) "snapshot emitted" true
+        (Report.to_json plain <> Report.to_json profiled);
+      Alcotest.(check string) "fingerprint unchanged"
+        (Report.fingerprint plain) (Report.fingerprint profiled)
+    | [] -> Alcotest.fail "empty report")
+
 (* Every proper prefix of a committed report is an [Error] from
    [Report.load], never an exception. *)
 let test_report_decoding_total () =
@@ -879,5 +908,7 @@ let suite =
           test_report_legacy_perf_ignored;
         Alcotest.test_case "report decoding total on cuts" `Quick
           test_report_decoding_total;
+        Alcotest.test_case "telemetry snapshot not fingerprinted" `Quick
+          test_report_telemetry_not_fingerprinted;
       ] );
   ]

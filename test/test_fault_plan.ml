@@ -349,6 +349,378 @@ let test_alive_windows () =
   Alcotest.(check bool) "other source" true
     (Fault_plan.alive p ~source:0 ~now:150)
 
+(* ------------------------------- compiled plan against the reference *)
+
+(* The reference semantics: SplitMix64 with a boxed [int64] state, and
+   the sampler answering every query by scanning the spec's lists —
+   [Prng] and [Fault_plan] as they were before the plan was compiled.
+   The compiled plan must answer every query the same way and leave
+   every stream at the same position. *)
+module Ref_prng = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let create seed = { state = Int64.of_int seed }
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let bits64 g =
+    g.state <- Int64.add g.state golden_gamma;
+    mix g.state
+
+  let split g =
+    let s = bits64 g in
+    { state = s }
+
+  let derive seed i =
+    let z = mix (Int64.add (Int64.of_int seed) golden_gamma) in
+    let z = mix (Int64.logxor z (Int64.mul (Int64.of_int (i + 1)) 0x94D049BB133111EBL)) in
+    Int64.to_int (mix z) land max_int
+
+  let stream ~seed ~path = create (List.fold_left derive seed path)
+
+  let int g n =
+    let mask = max_int in
+    let rec go () =
+      let v = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) land mask in
+      let r = v mod n in
+      if v - r + (n - 1) >= 0 then r else go ()
+    in
+    go ()
+
+  let float g x =
+    let v = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
+    x *. (v /. 9007199254740992.0)
+
+  let bool g = Int64.logand (bits64 g) 1L = 1L
+end
+
+module Ref_plan = struct
+  type ge_state = Good | Bad
+
+  type t = {
+    sp : Fault_plan.spec;
+    seed : int;
+    state_rng : Ref_prng.t;
+    garble_rng : Ref_prng.t;
+    mutable state : ge_state;
+    obs_rngs : (int, Ref_prng.t) Hashtbl.t;
+  }
+
+  let create ~seed sp =
+    {
+      sp;
+      seed;
+      state_rng = Ref_prng.stream ~seed ~path:[ 0 ];
+      garble_rng = Ref_prng.stream ~seed ~path:[ 1 ];
+      state = Good;
+      obs_rngs = Hashtbl.create 8;
+    }
+
+  let tick t =
+    match t.sp.Fault_plan.sp_garble with
+    | None | Some (Fault_plan.Iid _) -> ()
+    | Some (Fault_plan.Gilbert_elliott { p_enter; p_exit; _ }) ->
+      let u = Ref_prng.float t.state_rng 1.0 in
+      t.state <-
+        (match t.state with
+        | Good -> if u < p_enter then Bad else Good
+        | Bad -> if u < p_exit then Good else Bad)
+
+  let wire_garbles t ~now =
+    let drawn =
+      match t.sp.Fault_plan.sp_garble with
+      | None -> false
+      | Some (Fault_plan.Iid { rate }) -> Ref_prng.float t.garble_rng 1.0 < rate
+      | Some (Fault_plan.Gilbert_elliott { rate_good; rate_bad; _ }) ->
+        let rate = match t.state with Good -> rate_good | Bad -> rate_bad in
+        Ref_prng.float t.garble_rng 1.0 < rate
+    in
+    drawn || List.mem now t.sp.Fault_plan.sp_garbles_at
+
+  let obs_rng t source =
+    match Hashtbl.find_opt t.obs_rngs source with
+    | Some rng -> rng
+    | None ->
+      let rng = Ref_prng.stream ~seed:t.seed ~path:[ 2; source ] in
+      Hashtbl.add t.obs_rngs source rng;
+      rng
+
+  let misperceives t ~source ~now =
+    let drawn =
+      t.sp.Fault_plan.sp_misperception > 0.
+      && Ref_prng.float (obs_rng t source) 1.0 < t.sp.Fault_plan.sp_misperception
+    in
+    drawn
+    || List.exists
+         (fun (s, at) -> s = source && at = now)
+         t.sp.Fault_plan.sp_misperceive_at
+
+  let alive t ~source ~now =
+    not
+      (List.exists
+         (fun w ->
+           w.Fault_plan.cw_source = source && now >= w.Fault_plan.cw_from
+           && now < w.Fault_plan.cw_until)
+         t.sp.Fault_plan.sp_crashes)
+end
+
+type prng_op = Bits | Int of int | Float of float | Bool | Split | Below of float
+
+(* Rates a draw is compared against: the endpoints, arbitrary values,
+   and the neighbours of dyadic values, which sit next to a threshold
+   edge. *)
+let gen_rate =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0.);
+        (1, return 1.);
+        (3, float_bound_inclusive 1.);
+        ( 3,
+          map2
+            (fun k step ->
+              let x = ldexp (float_of_int k) (-10) in
+              Float.min 1. (Float.max 0. (step x)))
+            (int_bound 1024)
+            (oneofl [ Fun.id; Float.pred; Float.succ ]) );
+      ])
+
+let prop_prng_streams_match_reference =
+  let gen_op =
+    QCheck.Gen.(
+      oneof
+        [
+          return Bits;
+          map (fun n -> Int n) (int_range 1 1_000_000);
+          map (fun x -> Float x) (float_range 0.5 100.);
+          return Bool;
+          return Split;
+          map (fun r -> Below r) gen_rate;
+        ])
+  in
+  let arb =
+    QCheck.make
+      QCheck.Gen.(
+        triple (int_bound 1_000_000) (list_size (int_bound 3) (int_bound 50))
+          (list_size (int_range 1 200) gen_op))
+  in
+  QCheck.Test.make ~name:"prng streams match the boxed reference" ~count:200
+    arb (fun (seed, path, ops) ->
+      let g = Rtnet_util.Prng.stream ~seed ~path in
+      let r = Ref_prng.stream ~seed ~path in
+      let module Prng = Rtnet_util.Prng in
+      List.for_all
+        (function
+          | Bits -> Prng.bits64 g = Ref_prng.bits64 r
+          | Int n -> Prng.int g n = Ref_prng.int r n
+          | Float x -> Prng.float g x = Ref_prng.float r x
+          | Bool -> Prng.bool g = Ref_prng.bool r
+          | Split ->
+            let g' = Prng.split g and r' = Ref_prng.split r in
+            Prng.bits64 g' = Ref_prng.bits64 r'
+            && Prng.bits64 g' = Ref_prng.bits64 r'
+          | Below rate ->
+            Prng.below g (Prng.threshold rate) = (Ref_prng.float r 1.0 < rate))
+        ops
+      && Prng.bits64 g = Ref_prng.bits64 r)
+
+(* [below] is exact at the edge itself: for every top-53-bit value
+   around [threshold rate], the integer compare agrees with the float
+   compare [float g 1.0] makes. *)
+let prop_threshold_exact =
+  QCheck.Test.make ~name:"threshold compare is the float compare" ~count:500
+    (QCheck.make gen_rate) (fun rate ->
+      let th = Rtnet_util.Prng.threshold rate in
+      List.for_all
+        (fun v ->
+          v < 0 || v >= 1 lsl 53
+          || (v < th) = (float_of_int v /. 9007199254740992.0 < rate))
+        [ th - 2; th - 1; th; th + 1; 0; (1 lsl 53) - 1 ])
+
+type plan_case = {
+  pc_z : int;
+  pc_seed : int;
+  pc_spec : Fault_plan.spec;
+  pc_slots : int list;  (* increasing slot-start times *)
+  pc_probes : int list;  (* [alive] queries in arbitrary order *)
+}
+
+let gen_plan_case =
+  let open QCheck.Gen in
+  let* z = int_range 1 12 in
+  let* seed = int_bound 1_000_000 in
+  let* gaps = list_size (int_range 1 150) (int_range 1 40) in
+  let slots =
+    List.rev (List.fold_left (fun acc d -> (List.hd acc + d) :: acc) [ 0 ] gaps)
+  in
+  let last = List.fold_left max 0 slots in
+  let pick_slot = oneof [ oneofl slots; int_bound (last + 20) ] in
+  let* garble =
+    oneof
+      [
+        return None;
+        map (fun rate -> Some (Fault_plan.Iid { rate })) gen_rate;
+        map4
+          (fun p_enter p_exit rate_good rate_bad ->
+            Some
+              (Fault_plan.Gilbert_elliott { p_enter; p_exit; rate_good; rate_bad }))
+          (float_range 0.01 0.99) (float_range 0.01 0.99) gen_rate gen_rate;
+      ]
+  in
+  let* misperception = gen_rate in
+  (* Windows of different sources may overlap; one source's may not. *)
+  let* windows =
+    list_size (int_bound 6)
+      (triple (int_bound z) (int_bound (last + 20)) (int_range 1 200))
+  in
+  let crashes =
+    List.fold_left
+      (fun acc (source, from_, len) ->
+        let w =
+          {
+            Fault_plan.cw_source = source;
+            cw_from = from_;
+            cw_until = from_ + len;
+          }
+        in
+        if
+          List.exists
+            (fun v ->
+              v.Fault_plan.cw_source = source
+              && v.Fault_plan.cw_from < w.Fault_plan.cw_until
+              && w.Fault_plan.cw_from < v.Fault_plan.cw_until)
+            acc
+        then acc
+        else acc @ [ w ])
+      [] windows
+  in
+  let* garbles_at = list_size (int_bound 8) pick_slot in
+  let* misperceive_at = list_size (int_bound 8) (pair (int_bound z) pick_slot) in
+  let* probes = list_size (int_bound 40) (int_bound (last + 250)) in
+  return
+    {
+      pc_z = z;
+      pc_seed = seed;
+      pc_spec =
+        Fault_plan.merge
+          [
+            { Fault_plan.none with sp_garble = garble; sp_crashes = crashes };
+            Fault_plan.misperceive misperception;
+            Fault_plan.garble_at garbles_at;
+            Fault_plan.misperceive_at misperceive_at;
+          ];
+      pc_slots = slots;
+      pc_probes = probes;
+    }
+
+(* Every query of a run, in the harness's order: liveness (cached
+   between [next_edge]s, as the harness does), the channel's tick and
+   wire draw, then one misperception draw per live source.  A tail of
+   unscheduled slots after the run compares further draws, so a stream
+   left at another position shows whenever its rate lies strictly
+   inside (0, 1). *)
+let prop_compiled_plan_matches_reference =
+  let print c =
+    Printf.sprintf "z=%d seed=%d plan=%s slots=%d" c.pc_z c.pc_seed
+      (Fault_plan.label c.pc_spec) (List.length c.pc_slots)
+  in
+  QCheck.Test.make ~name:"compiled plan answers as the list scan" ~count:300
+    (QCheck.make ~print gen_plan_case) (fun c ->
+      let p = Fault_plan.create ~seed:c.pc_seed c.pc_spec in
+      let r = Ref_plan.create ~seed:c.pc_seed c.pc_spec in
+      let alive_now = Array.make c.pc_z true in
+      let due = ref 0 in
+      let ok = ref true in
+      let agree a b = if a <> b then ok := false in
+      let slot now =
+        if now >= !due then begin
+          due := Fault_plan.next_edge p ~now;
+          Array.iteri
+            (fun s _ -> alive_now.(s) <- Fault_plan.alive p ~source:s ~now)
+            alive_now
+        end;
+        Fault_plan.tick p;
+        Ref_plan.tick r;
+        agree (Fault_plan.wire_garbles p ~now) (Ref_plan.wire_garbles r ~now);
+        for s = 0 to c.pc_z - 1 do
+          let alive = Ref_plan.alive r ~source:s ~now in
+          agree alive_now.(s) alive;
+          agree (Fault_plan.alive p ~source:s ~now) alive;
+          if alive then
+            agree
+              (Fault_plan.misperceives p ~source:s ~now)
+              (Ref_plan.misperceives r ~source:s ~now)
+        done
+      in
+      List.iter slot c.pc_slots;
+      List.iter
+        (fun now ->
+          for s = 0 to c.pc_z do
+            agree
+              (Fault_plan.alive p ~source:s ~now)
+              (Ref_plan.alive r ~source:s ~now)
+          done)
+        c.pc_probes;
+      let tail = 1 + List.fold_left max 0 (c.pc_slots @ c.pc_probes) in
+      for i = 0 to 63 do
+        let now = tail + i in
+        Fault_plan.tick p;
+        Ref_plan.tick r;
+        agree (Fault_plan.wire_garbles p ~now) (Ref_plan.wire_garbles r ~now);
+        for s = 0 to c.pc_z - 1 do
+          agree
+            (Fault_plan.misperceives p ~source:s ~now)
+            (Ref_plan.misperceives r ~source:s ~now)
+        done
+      done;
+      !ok)
+
+(* The per-slot queries on a compiled plan allocate nothing once each
+   source's stream exists: 10^4 slots of tick, wire draw, liveness edge,
+   liveness and misperception draws for 64 sources. *)
+let test_compiled_queries_allocate_nothing () =
+  let z = 64 in
+  let p =
+    Fault_plan.create ~seed:11
+      (Fault_plan.merge
+         [
+           Fault_plan.gilbert_elliott ~p_enter:0.1 ~p_exit:0.3 ~rate_good:0.01
+             ~rate_bad:0.5;
+           Fault_plan.misperceive 0.2;
+           Fault_plan.crash ~source:3 ~from_:1_000 ~until:5_000;
+           Fault_plan.crash ~source:3 ~from_:8_000 ~until:9_000;
+           Fault_plan.crash ~source:40 ~from_:2_000 ~until:60_000;
+           Fault_plan.garble_at [ 70; 700; 7_000 ];
+           Fault_plan.misperceive_at [ (5, 140); (63, 14_000) ];
+         ])
+  in
+  let hits = ref 0 in
+  let slots ~from n =
+    for i = 0 to n - 1 do
+      let now = from + (7 * i) in
+      Fault_plan.tick p;
+      if Fault_plan.wire_garbles p ~now then incr hits;
+      if Fault_plan.next_edge p ~now = now + 1 then incr hits;
+      for s = 0 to z - 1 do
+        if
+          Fault_plan.alive p ~source:s ~now
+          && Fault_plan.misperceives p ~source:s ~now
+        then incr hits
+      done
+    done
+  in
+  slots ~from:0 1;
+  let w0 = Gc.minor_words () in
+  slots ~from:7 10_000;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "queries answered" true (!hits > 0);
+  Alcotest.(check (float 0.)) "words allocated" 0. words
+
 (* ------------------------------------------- DDCR under fault plans *)
 
 let run_under_plan ?(stations = 4) ?(seed = 5) ?(horizon = 40 * ms) spec =
@@ -586,5 +958,10 @@ let suite =
           test_run_json_deterministic_under_plan;
         Alcotest.test_case "clean plan matches planless run" `Quick
           test_clean_plan_matches_planless_run;
+        QCheck_alcotest.to_alcotest prop_prng_streams_match_reference;
+        QCheck_alcotest.to_alcotest prop_threshold_exact;
+        QCheck_alcotest.to_alcotest prop_compiled_plan_matches_reference;
+        Alcotest.test_case "compiled queries allocate nothing" `Quick
+          test_compiled_queries_allocate_nothing;
       ] );
   ]
